@@ -20,9 +20,7 @@ from .fem1d import (FemOperators, Mesh1D, TriDiagSym, assemble_mass,
 from .drift import (DriftPolynomial, TamingParams, eval_f, eval_f_tamed,
                     one_sided_constant, taming_inequality_suite,
                     validate_params)
-from .noise import (NoiseModel, PathTape, RngStream, SpectralIncrement,
-                    coarsen, increment_load, make_noise_model, make_path,
-                    sample_increment)
+from .noise import NoiseModel, PathTape, RngStream, make_noise_model, make_path
 from .scheme import (ObservableRecord, RecordSpec, SchemeConfig, SchemeState,
                      drift_load, make_scheme_config, run, shifted_operator,
                      step)

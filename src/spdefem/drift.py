@@ -141,23 +141,25 @@ def validate_params(poly, params, d=None):
 
 
 def one_sided_constant(poly):
-    """Upper bound of f' over the real line.
+    """Supremum of f' over the real line.
 
     For cubic drifts (q=2) the derivative is a concave quadratic and the
-    maximum is analytic. Higher degrees are scanned on a symmetric grid
-    wide enough to contain every critical point of f' (Cauchy bound on
-    the roots of f''); beyond that range f' only decreases.
+    maximum is analytic. For higher degrees f' has even degree and a
+    negative leading coefficient, so its supremum is attained at a real
+    root of f''. f' is evaluated at the real part of every root of f'':
+    the real roots are among them, and no other point exceeds the
+    supremum, so the largest value is the supremum to round-off without
+    deciding which roots are real.
     """
     dcoef = [k * poly.coeffs[k] for k in range(1, 2 * poly.q)]
     if poly.q == 2:
         a1, a2x2, a3x3 = dcoef  # f' = a1 + 2 a2 u + 3 a3 u^2
         L_f = a1 - a2x2**2 / (4.0 * a3x3)
         return OneSidedConstant(L_f=float(L_f), method="analytic-cubic")
-    ddcoef = np.array([k * dcoef[k] for k in range(1, len(dcoef))])
-    R = 1.0 + np.max(np.abs(ddcoef[:-1] / ddcoef[-1])) if len(ddcoef) > 1 else 1.0
-    u = np.linspace(-R, R, 200001)
-    vals = np.polyval(list(reversed(dcoef)), u)
-    return OneSidedConstant(L_f=float(vals.max()), method="grid-scan")
+    ddcoef = [k * dcoef[k] for k in range(1, len(dcoef))]
+    crit = np.roots(ddcoef[::-1]).real
+    vals = np.polyval(dcoef[::-1], crit)
+    return OneSidedConstant(L_f=float(vals.max()), method="critical-points")
 
 
 @dataclass(frozen=True)

@@ -17,20 +17,30 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy
 
-from . import fem1d, noise, scheme
+from . import __version__, fem1d, noise, scheme
 from .errors import InvalidArgumentError
 from .smoothing_lab import rate_fit, rough_initial, smoothing_error
 
 BLOCK = 64
 
+
+def _sin_pi4_minus_l2sq(x, l2sq):
+    return np.sin(np.pi / 4.0 - l2sq)
+
+
+def _l2sq(x, l2sq):
+    return l2sq
+
+
+# module-level functions, so a RecordSpec holding one pickles for workers
 OBSERVABLES = {
-    "sin_pi4_minus_l2sq": lambda x, l2sq: np.sin(np.pi / 4.0 - l2sq),
-    "l2sq": lambda x, l2sq: l2sq,
+    "sin_pi4_minus_l2sq": _sin_pi4_minus_l2sq,
+    "l2sq": _l2sq,
 }
 DEFAULT_OBSERVABLE = "sin_pi4_minus_l2sq"
 
@@ -162,13 +172,6 @@ def _tape_block(cfg, model, steps, stream_id, sample_indices):
     return out
 
 
-def _final_state(cfg, ops, tau, coeffs, modes):
-    sc = scheme.make_scheme_config(ops, cfg.drift, cfg.taming, tau,
-                                   _initial_vector(cfg, ops, modes))
-    state, _ = scheme.run(sc, coeffs)
-    return state.x
-
-
 def _map_blocks(cfg, fn, n_blocks):
     bound = functools.partial(fn, cfg)
     if cfg.workers > 1 and n_blocks > 1:
@@ -179,18 +182,64 @@ def _map_blocks(cfg, fn, n_blocks):
     return [bound(b) for b in range(n_blocks)]
 
 
-def _versions():
-    import importlib.metadata as im
+class Leg(NamedTuple):
+    """One scheme run per sample of a block."""
 
-    try:
-        own = im.version("spdefem")
-    except im.PackageNotFoundError:  # pragma: no cover
-        own = "unknown"
+    res: Resolution
+    stream: int                        # noise stream id of the driving tape
+    modes: Optional[tuple]             # initial sine modes; None = zero
+    record: Optional[scheme.RecordSpec] = None
+
+
+def _paths_block(cfg, b, legs):
+    """Run every leg on the samples of block b; one result per leg, in order.
+
+    Each stream's tape is drawn once, at the finest m among its legs, and
+    every other leg on that stream runs on an exact coarsening of it, so
+    all resolutions of one sample see the same driving path. A leg yields
+    its final (n, bs) state, or its ObservableRecord when it records.
+    """
+    model = noise_model_for(cfg)
+    idx = list(_block_range(cfg, b))
+    finest, last = {}, {}
+    for i, leg in enumerate(legs):
+        finest[leg.stream] = max(finest.get(leg.stream, 0), leg.res.m)
+        last[leg.stream] = i
+    tapes, ops, out = {}, {}, []
+    for i, leg in enumerate(legs):
+        m = finest[leg.stream]
+        if leg.stream not in tapes:
+            tapes[leg.stream] = _tape_block(cfg, model, 2**m, leg.stream, idx)
+        # a stream's tape is released after its last leg
+        tape = tapes[leg.stream] if i < last[leg.stream] else tapes.pop(leg.stream)
+        factor = 2 ** (m - leg.res.m)
+        coeffs = noise.coarsen_coeffs(tape, factor)
+        if b == 0 and factor > 1:
+            # re-assert the coupling invariant: children sum to parents
+            assert np.array_equal(coeffs[0], tape[:factor].sum(axis=0))
+        if leg.res.h_exp not in ops:
+            ops[leg.res.h_exp] = fem1d.assemble_operators(_mesh_for(cfg, leg.res))
+        o = ops[leg.res.h_exp]
+        sc = scheme.make_scheme_config(o, cfg.drift, cfg.taming,
+                                       _tau_for(cfg, leg.res),
+                                       _initial_vector(cfg, o, leg.modes))
+        state, rec = scheme.run(sc, coeffs, leg.record)
+        out.append(state.x if leg.record is None else rec)
+    return out
+
+
+def _run_legs(cfg, legs):
+    """Per-block lists of leg results, blocks in index order."""
+    return _map_blocks(cfg, functools.partial(_paths_block, legs=tuple(legs)),
+                       _n_blocks(cfg))
+
+
+def _versions():
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "spdefem": own,
+        "spdefem": __version__,
     }
 
 
@@ -287,32 +336,6 @@ def fit_report(cfg, errors, stderrs, metadata, flags=None):
 
 # ---------------------------------------------------------------- strong
 
-def _strong_block(cfg, b):
-    model = noise_model_for(cfg)
-    ref = cfg.reference
-    ref_mesh = _mesh_for(cfg, ref)
-    ref_ops = fem1d.assemble_operators(ref_mesh)
-    idx = list(_block_range(cfg, b))
-    steps_ref = 2**ref.m
-    coeffs = _tape_block(cfg, model, steps_ref, 0, idx)
-    x_ref = _final_state(cfg, ref_ops, _tau_for(cfg, ref), coeffs,
-                         cfg.initial_modes)
-    err2 = np.empty((len(cfg.grid), len(idx)))
-    for g, res in enumerate(cfg.grid):
-        factor = 2 ** (ref.m - res.m)
-        cc = noise.coarsen_coeffs(coeffs, factor)
-        if b == 0 and factor > 1:
-            # re-assert the coupling invariant: children sum to parents
-            assert np.array_equal(cc[0], coeffs[:factor].sum(axis=0))
-        mesh_g = _mesh_for(cfg, res)
-        ops_g = ref_ops if res.h_exp == ref.h_exp else fem1d.assemble_operators(mesh_g)
-        xg = _final_state(cfg, ops_g, _tau_for(cfg, res), cc, cfg.initial_modes)
-        if res.h_exp != ref.h_exp:
-            xg = fem1d.prolong(mesh_g, ref_mesh, xg)
-        err2[g] = fem1d.l2_norm_sq_mass(ref_ops, x_ref - xg)
-    return err2
-
-
 def strong_rate_study(cfg):
     """Coupled-path RMS error at the final time against a fine reference.
 
@@ -323,8 +346,20 @@ def strong_rate_study(cfg):
     if cfg.reference is None:
         raise InvalidArgumentError("strong study needs a reference resolution")
     t0 = time.perf_counter()
-    blocks = _map_blocks(cfg, _strong_block, _n_blocks(cfg))
-    err2 = np.concatenate(blocks, axis=1)
+    ref = cfg.reference
+    ref_ops = fem1d.assemble_operators(_mesh_for(cfg, ref))
+    legs = [Leg(r, 0, cfg.initial_modes) for r in (*cfg.grid, ref)]
+
+    def err2_of(states):
+        x_ref = states[-1]
+        rows = []
+        for res, xg in zip(cfg.grid, states):
+            if res.h_exp != ref.h_exp:
+                xg = fem1d.prolong(_mesh_for(cfg, res), ref_ops.mesh, xg)
+            rows.append(fem1d.l2_norm_sq_mass(ref_ops, x_ref - xg))
+        return np.array(rows)
+
+    err2 = np.concatenate([err2_of(blk) for blk in _run_legs(cfg, legs)], axis=1)
     n = err2.shape[1]
     mean2 = err2.mean(axis=1)
     errors = np.sqrt(mean2)
@@ -339,41 +374,6 @@ def strong_rate_study(cfg):
 
 # ------------------------------------------------------------------ weak
 
-def _weak_block(cfg, b):
-    model = noise_model_for(cfg)
-    ref = cfg.reference
-    idx = list(_block_range(cfg, b))
-    phi = OBSERVABLES[cfg.observable]
-    out = np.empty((len(cfg.grid) + 1, len(idx)))
-
-    def phi_of_final(ops, x):
-        return phi(x, fem1d.l2_norm_sq_mass(ops, x))
-
-    if cfg.crn_tapes:
-        coeffs = _tape_block(cfg, model, 2**ref.m, 0, idx)
-        ref_ops = fem1d.assemble_operators(_mesh_for(cfg, ref))
-        out[-1] = phi_of_final(ref_ops, _final_state(
-            cfg, ref_ops, _tau_for(cfg, ref), coeffs, cfg.initial_modes))
-        for g, res in enumerate(cfg.grid):
-            cc = noise.coarsen_coeffs(coeffs, 2 ** (ref.m - res.m))
-            ops_g = fem1d.assemble_operators(_mesh_for(cfg, res))
-            out[g] = phi_of_final(ops_g, _final_state(
-                cfg, ops_g, _tau_for(cfg, res), cc, cfg.initial_modes))
-        return out
-
-    # independent randomness: one stream per resolution, reference = stream 0
-    ref_ops = fem1d.assemble_operators(_mesh_for(cfg, ref))
-    coeffs = _tape_block(cfg, model, 2**ref.m, 0, idx)
-    out[-1] = phi_of_final(ref_ops, _final_state(
-        cfg, ref_ops, _tau_for(cfg, ref), coeffs, cfg.initial_modes))
-    for g, res in enumerate(cfg.grid):
-        cg = _tape_block(cfg, model, 2**res.m, 1 + g, idx)
-        ops_g = fem1d.assemble_operators(_mesh_for(cfg, res))
-        out[g] = phi_of_final(ops_g, _final_state(
-            cfg, ops_g, _tau_for(cfg, res), cg, cfg.initial_modes))
-    return out
-
-
 def weak_rate_study(cfg):
     """Difference of observable means against the fine reference.
 
@@ -384,8 +384,19 @@ def weak_rate_study(cfg):
     if cfg.reference is None:
         raise InvalidArgumentError("weak study needs a reference resolution")
     t0 = time.perf_counter()
-    blocks = _map_blocks(cfg, _weak_block, _n_blocks(cfg))
-    vals = np.concatenate(blocks, axis=1)
+    # CRN: every resolution on stream 0; otherwise grid entry g on stream 1 + g
+    legs = [Leg(r, 0 if cfg.crn_tapes else 1 + g, cfg.initial_modes)
+            for g, r in enumerate(cfg.grid)]
+    legs.append(Leg(cfg.reference, 0, cfg.initial_modes))
+    ops = {leg.res.h_exp: fem1d.assemble_operators(_mesh_for(cfg, leg.res))
+           for leg in legs}
+    phi = OBSERVABLES[cfg.observable]
+
+    def phi_of(states):
+        return np.array([phi(x, fem1d.l2_norm_sq_mass(ops[leg.res.h_exp], x))
+                         for leg, x in zip(legs, states)])
+
+    vals = np.concatenate([phi_of(blk) for blk in _run_legs(cfg, legs)], axis=1)
     n = vals.shape[1]
     G = len(cfg.grid)
     flags = {}
@@ -436,27 +447,6 @@ def _initial_label(modes):
     return "+".join(f"{amp:g}*sin({int(j)}pi x/L)" for j, amp in modes)
 
 
-def _equilibration_block(cfg, b):
-    model = noise_model_for(cfg)
-    res = cfg.grid[0]
-    ops = fem1d.assemble_operators(_mesh_for(cfg, res))
-    tau = _tau_for(cfg, res)
-    idx = list(_block_range(cfg, b))
-    coeffs = _tape_block(cfg, model, 2**res.m, 0, idx)
-    phi = OBSERVABLES[cfg.observable]
-    series = []
-    times = None
-    for modes in cfg.initials:
-        sc = scheme.make_scheme_config(
-            ops, cfg.drift, cfg.taming, tau,
-            np.repeat(_initial_vector(cfg, ops, modes)[:, None], len(idx), axis=1))
-        _, rec = scheme.run(sc, coeffs, scheme.RecordSpec(
-            stride=cfg.stride, norms=False, phi=phi))
-        series.append(rec.phi)        # (n_times, bs)
-        times = rec.times
-    return times, series
-
-
 def equilibration_study(cfg, initial_conditions=None):
     """Observable mean over time for several initial conditions.
 
@@ -481,10 +471,13 @@ def equilibration_study(cfg, initial_conditions=None):
                 "equilibration requires the contraction regime L_f < lambda_1"
             )
     t0 = time.perf_counter()
-    blocks = _map_blocks(cfg, _equilibration_block, _n_blocks(cfg))
-    times = blocks[0][0]
+    spec = scheme.RecordSpec(stride=cfg.stride, norms=False,
+                             phi=OBSERVABLES[cfg.observable])
+    blocks = _run_legs(cfg, [Leg(cfg.grid[0], 0, modes, spec)
+                             for modes in cfg.initials])
+    times = blocks[0][0].times
     n_ic = len(cfg.initials)
-    mats = [np.concatenate([blk[1][i] for blk in blocks], axis=1)
+    mats = [np.concatenate([blk[i].phi for blk in blocks], axis=1)
             for i in range(n_ic)]
     n = mats[0].shape[1]
     means = np.stack([m.mean(axis=1) for m in mats])
@@ -533,24 +526,6 @@ class MomentReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _moment_block(cfg, b):
-    model = noise_model_for(cfg)
-    res = cfg.grid[0]
-    ops = fem1d.assemble_operators(_mesh_for(cfg, res))
-    tau = _tau_for(cfg, res)
-    idx = list(_block_range(cfg, b))
-    coeffs = _tape_block(cfg, model, 2**res.m, 0, idx)
-    gamma = 1.0 if model is None else model.gamma_report
-    sc = scheme.make_scheme_config(
-        ops, cfg.drift, cfg.taming, tau,
-        np.repeat(_initial_vector(cfg, ops, cfg.initial_modes)[:, None],
-                  len(idx), axis=1))
-    _, rec = scheme.run(sc, coeffs, scheme.RecordSpec(
-        stride=cfg.stride, norms=True, gamma=gamma))
-    out = {"l2_sq": rec.l2 ** 2, "l4_4": rec.l4 ** 4, "hgamma_sq": rec.hgamma_sq}
-    return rec.times, out
-
-
 def moment_study(cfg, horizon_multiplier=1):
     """Long-horizon moment tracking with a second-half trend test.
 
@@ -569,11 +544,16 @@ def moment_study(cfg, horizon_multiplier=1):
         cfg = replace(cfg, T=cfg.T * mult,
                       grid=(Resolution(res.m + mult.bit_length() - 1, res.h_exp),))
     t0 = time.perf_counter()
-    blocks = _map_blocks(cfg, _moment_block, _n_blocks(cfg))
-    times = blocks[0][0]
-    names = ("l2_sq", "l4_4", "hgamma_sq")
-    mats = {nm: np.concatenate([blk[1][nm] for blk in blocks], axis=1)
-            for nm in names}
+    model = noise_model_for(cfg)
+    spec = scheme.RecordSpec(stride=cfg.stride, norms=True,
+                             gamma=1.0 if model is None else model.gamma_report)
+    leg = Leg(cfg.grid[0], 0, cfg.initial_modes, spec)
+    recs = [blk[0] for blk in _run_legs(cfg, [leg])]
+    times = recs[0].times
+    mats = {"l2_sq": np.concatenate([r.l2 ** 2 for r in recs], axis=1),
+            "l4_4": np.concatenate([r.l4 ** 4 for r in recs], axis=1),
+            "hgamma_sq": np.concatenate([r.hgamma_sq for r in recs], axis=1)}
+    names = tuple(mats)
     n = mats[names[0]].shape[1]
     half = cfg.T / 2.0
     sel = times >= half - 1e-12
@@ -591,7 +571,7 @@ def moment_study(cfg, horizon_multiplier=1):
         sl_se = float(slopes.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         trends[nm] = {"slope": sl_mean, "stderr": sl_se,
                       "ok": bool(abs(sl_mean) <= 2.0 * sl_se) if n > 1 else None}
-    meta = _metadata(cfg, noise_model_for(cfg), time.perf_counter() - t0)
+    meta = _metadata(cfg, model, time.perf_counter() - t0)
     return MomentReport(times=times, series=series,
                         trend_window=(half, cfg.T), trends=trends, metadata=meta)
 

@@ -81,20 +81,6 @@ def coefficient_scales(model):
 
 
 @dataclass(frozen=True)
-class SpectralIncrement:
-    tau: float
-    coeffs: np.ndarray
-
-
-def sample_increment(model, tau, rng_stream):
-    if not tau > 0:
-        raise InvalidArgumentError(f"tau must be positive, got {tau}")
-    xi = rng_stream.normals(model.K)
-    coeffs = np.sqrt(tau) * coefficient_scales(model) * xi
-    return SpectralIncrement(tau=float(tau), coeffs=coeffs)
-
-
-@dataclass(frozen=True)
 class PathTape:
     """All increments of one driving path at the finest dyadic resolution."""
 
@@ -106,10 +92,6 @@ class PathTape:
     @property
     def finest_steps(self):
         return self.coeffs.shape[0]
-
-    @property
-    def increments(self):
-        return [SpectralIncrement(self.tau, row) for row in self.coeffs]
 
 
 def sample_tape_coeffs(model, master_seed, T, finest_steps, context=0):
@@ -146,23 +128,3 @@ def coarsen_coeffs(coeffs, factor):
     if f == 1:
         return coeffs
     return coeffs.reshape(steps // f, f, *coeffs.shape[1:]).sum(axis=1)
-
-
-def coarsen(tape, factor):
-    """Coarse increments of the same path; children sum exactly to parents."""
-    cc = coarsen_coeffs(tape.coeffs, factor)
-    tau_c = tape.tau * int(factor)
-    return [SpectralIncrement(tau_c, row) for row in cc]
-
-
-def increment_load(mesh, inc):
-    """FEM load vector of one increment against the interior hat functions.
-
-    Uses exact closed-form sine-hat integrals so the loads add no
-    quadrature error to measured convergence rates. The caller is
-    responsible for mesh and noise model sharing the same L.
-    """
-    from .fem1d import sine_load_matrix
-
-    coeffs = np.asarray(inc.coeffs, dtype=float)
-    return sine_load_matrix(mesh, coeffs.shape[0]) @ coeffs

@@ -23,7 +23,7 @@ from . import fem1d
 from .drift import eval_f_tamed, one_sided_constant, validate_params
 from .errors import InvalidArgumentError, NumericalBlowupError
 from .fem1d import TriDiagSym, TriFactor, tridiag_matvec
-from .noise import PathTape, SpectralIncrement, coarsen_coeffs
+from .noise import PathTape, coarsen_coeffs
 
 SOFT_SUP_NORM_CAP = 1e6
 
@@ -208,17 +208,6 @@ def _normalize_increments(config, tape_or_increments, n_steps):
                 f"tape step {src.tau} is not a power-of-two refinement of tau={config.tau}"
             )
         return coarsen_coeffs(src.coeffs, factor)
-    if isinstance(src, (list, tuple)):
-        if not src:
-            raise InvalidArgumentError("empty increment sequence")
-        for inc in src:
-            if not isinstance(inc, SpectralIncrement):
-                raise InvalidArgumentError("expected SpectralIncrement entries")
-            if abs(inc.tau - config.tau) > 1e-12 * config.tau:
-                raise InvalidArgumentError(
-                    f"increment step {inc.tau} does not match tau={config.tau}"
-                )
-        return np.stack([inc.coeffs for inc in src])
     arr = np.asarray(src, dtype=float)
     if arr.ndim < 2:
         raise InvalidArgumentError("coefficient array must be (steps, K[, B])")
@@ -228,11 +217,10 @@ def _normalize_increments(config, tape_or_increments, n_steps):
 def run(config, tape_or_increments, record_spec=None, n_steps=None):
     """Iterate the scheme over a whole driving path.
 
-    tape_or_increments: PathTape (auto-coarsened to tau), a sequence of
-    SpectralIncrement, a raw (steps, K[, B]) coefficient array, or None
-    for a zero-noise run of n_steps. Returns the final state and the
-    ObservableRecord (None if no record_spec given). Recording never
-    affects the dynamics.
+    tape_or_increments: PathTape (auto-coarsened to tau), a raw
+    (steps, K[, B]) coefficient array, or None for a zero-noise run of
+    n_steps. Returns the final state and the ObservableRecord (None if no
+    record_spec given). Recording never affects the dynamics.
     """
     coeffs = _normalize_increments(config, tape_or_increments, n_steps)
     steps = coeffs.shape[0]

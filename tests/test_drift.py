@@ -162,9 +162,18 @@ class TestOneSidedConstant:
     def test_quintic_scan(self):
         poly = DriftPolynomial(q=3, coeffs=(0.0, 1.0, 0.0, 0.0, 0.0, -1.0))
         c = one_sided_constant(poly)
-        assert c.method == "grid-scan"
-        # max of f'(u) = 1 - 5u^4 is 1
-        assert c.L_f == pytest.approx(1.0, abs=1e-6)
+        assert c.method == "critical-points"
+        # max of f'(u) = 1 - 5u^4 is 1, at the triple root u = 0 of f''
+        assert c.L_f == pytest.approx(1.0, abs=1e-14)
+
+    def test_quintic_supremum_is_exact(self):
+        # f'' has one real root, near 0.0497; a 200001-point grid scan
+        # misses the peak of f' and reports 0.66474429
+        poly = DriftPolynomial(q=3, coeffs=(0.0, 0.63707324, 0.55833996,
+                                            -3.77227516, 0.26062975, -0.07544532))
+        # 40-digit value from the real root of f'' in extended precision
+        assert one_sided_constant(poly).L_f == pytest.approx(
+            0.66474434636027849570, rel=1e-13)
 
     @given(poly=odd_poly)
     @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spdefem import harness
+from spdefem import cli, harness
 from spdefem.drift import DriftPolynomial, TamingParams
 from spdefem.errors import InvalidArgumentError
 from spdefem.harness import Resolution, make_study_config
@@ -30,6 +30,33 @@ def weak_cfg(crn, samples=32):
         grid=(Resolution(3, 3), Resolution(4, 3), Resolution(5, 3)),
         reference=Resolution(9, 3), T=0.5, samples=samples, seed=7,
         crn_tapes=crn)
+
+
+def equilibrate_cfg():
+    return make_study_config(
+        kind="equilibrate", L=1.0, drift=CUBIC, taming=TAMING,
+        initial_modes=None, s=0.5005, K=None,
+        grid=(Resolution(6, 4),), reference=None, T=4.0,
+        samples=48, seed=3, stride=4,
+        initials=(None, ((1, 2.0),), ((1, -2.0),)))
+
+
+def moment_cfg():
+    return make_study_config(
+        kind="longtime", L=1.0, drift=CUBIC, taming=TAMING,
+        initial_modes=((1, 2.0),), s=0.5005, K=None,
+        grid=(Resolution(7, 4),), reference=None, T=16.0,
+        samples=32, seed=5, stride=16)
+
+
+# every Monte Carlo study: (study function, config builder)
+MC_STUDIES = {
+    "strong": (harness.strong_rate_study, strong_cfg),
+    "weak_crn": (harness.weak_rate_study, lambda: weak_cfg(crn=True)),
+    "weak_independent": (harness.weak_rate_study, lambda: weak_cfg(crn=False)),
+    "equilibrate": (harness.equilibration_study, equilibrate_cfg),
+    "longtime": (harness.moment_study, moment_cfg),
+}
 
 
 class TestConfigValidation:
@@ -89,13 +116,20 @@ class TestStrongStudy:
         assert np.all(rep.errors > 3 * rep.stderrs)
         assert rep.metadata["sampler"] == "philox4x64-10/inverse-cdf"
 
-    def test_worker_count_never_changes_results(self):
-        r1 = harness.strong_rate_study(strong_cfg(samples=130, workers=1))
-        r2 = harness.strong_rate_study(strong_cfg(samples=130, workers=2))
-        # 130 samples = three blocks, unequal tail; must still agree bitwise
-        assert np.array_equal(r1.errors, r2.errors)
-        assert np.array_equal(r1.stderrs, r2.stderrs)
-        assert r1.fitted_order == r2.fitted_order
+    @pytest.mark.parametrize("study", ["strong", "weak_crn", "weak_independent",
+                                       "equilibrate", "longtime"])
+    def test_worker_count_never_changes_results(self, study, tmp_path):
+        run, make_cfg = MC_STUDIES[study]
+        outputs = []
+        for workers in (1, 2):
+            # 130 samples = three blocks, unequal tail; must still agree bitwise
+            cfg = dataclasses.replace(make_cfg(), samples=130, workers=workers)
+            report = run(cfg)
+            csv = cli.write_report_csv(report, cfg, tmp_path / str(workers))
+            summary = cli.summary_dict(report)
+            summary.pop("metadata")
+            outputs.append((csv.read_bytes(), summary))
+        assert outputs[0] == outputs[1]
 
     def test_stderr_shrinks_like_root_n(self):
         e1 = harness.strong_rate_study(strong_cfg(samples=64)).stderrs
@@ -163,16 +197,8 @@ class TestFitReportHook:
 
 
 class TestEquilibration:
-    def cfg(self):
-        return make_study_config(
-            kind="equilibrate", L=1.0, drift=CUBIC, taming=TAMING,
-            initial_modes=None, s=0.5005, K=None,
-            grid=(Resolution(6, 4),), reference=None, T=4.0,
-            samples=48, seed=3, stride=4,
-            initials=(None, ((1, 2.0),), ((1, -2.0),)))
-
     def test_window_agreement_across_initials(self):
-        rep = harness.equilibration_study(self.cfg())
+        rep = harness.equilibration_study(equilibrate_cfg())
         assert rep.agreement is True
         assert all(p["ok"] for p in rep.pairwise)
         assert rep.labels == ("zero", "2*sin(1pi x/L)", "-2*sin(1pi x/L)")
@@ -181,13 +207,13 @@ class TestEquilibration:
                                                     abs=4 * rep.window_stderrs[1])
 
     def test_identical_initials_give_identical_rows(self):
-        cfg = dataclasses.replace(self.cfg(), samples=8,
+        cfg = dataclasses.replace(equilibrate_cfg(), samples=8,
                                   initials=(((1, 2.0),), ((1, 2.0),)))
         rep = harness.equilibration_study(cfg)
         assert np.array_equal(rep.means[0], rep.means[1])
 
     def test_single_sample_flagged(self):
-        cfg = dataclasses.replace(self.cfg(), samples=1)
+        cfg = dataclasses.replace(equilibrate_cfg(), samples=1)
         rep = harness.equilibration_study(cfg)
         assert rep.flags.get("insufficient_samples") is True
         assert rep.agreement is None
@@ -195,21 +221,14 @@ class TestEquilibration:
     def test_contraction_regime_enforced(self):
         # shift the cubic so its one-sided constant tops the first eigenvalue
         steep = DriftPolynomial(q=2, coeffs=(0.0, 40.0, 0.0, -1.0))
-        cfg = dataclasses.replace(self.cfg(), drift=steep)
+        cfg = dataclasses.replace(equilibrate_cfg(), drift=steep)
         with pytest.raises(InvalidArgumentError):
             harness.equilibration_study(cfg)
 
 
 class TestMoments:
-    def cfg(self):
-        return make_study_config(
-            kind="longtime", L=1.0, drift=CUBIC, taming=TAMING,
-            initial_modes=((1, 2.0),), s=0.5005, K=None,
-            grid=(Resolution(7, 4),), reference=None, T=16.0,
-            samples=32, seed=5, stride=16)
-
     def test_series_bounded_and_trends_flat(self):
-        rep = harness.moment_study(self.cfg())
+        rep = harness.moment_study(moment_cfg())
         for name in ("l2_sq", "l4_4", "hgamma_sq"):
             mean, se = rep.series[name]
             assert np.all(np.isfinite(mean)) and np.all(se >= 0)
@@ -217,7 +236,7 @@ class TestMoments:
         assert rep.trend_window[0] == pytest.approx(8.0)
 
     def test_horizon_multiplier_extends_time(self):
-        cfg = dataclasses.replace(self.cfg(), T=4.0, samples=8,
+        cfg = dataclasses.replace(moment_cfg(), T=4.0, samples=8,
                                   grid=(Resolution(5, 4),))
         rep = harness.moment_study(cfg, horizon_multiplier=2)
         assert rep.times[-1] == pytest.approx(8.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spdefem import fem1d, noise
+from spdefem import noise
 from spdefem.errors import CapacityError, InvalidArgumentError
 
 
@@ -72,23 +72,14 @@ class TestModel:
 
 class TestIncrements:
     def test_variance_scaling(self):
+        # each row of a tape is one increment over a step of length tau
         m = model(s=0.5005, K=4)
-        tau = 0.125
-        draws = np.stack([
-            noise.sample_increment(m, tau, noise.RngStream(1, i)).coeffs
-            for i in range(20_000)])
+        tau, steps = 0.125, 2**15
+        draws = noise.sample_tape_coeffs(m, 1, tau * steps, steps)
         var = draws.var(axis=0, ddof=1)
         expect = tau * noise.coefficient_scales(m) ** 2
         assert np.allclose(var, expect, rtol=0.05)
-        assert np.abs(draws.mean(axis=0)).max() < 4 * np.sqrt(expect[0] / 20_000) + 1e-4
-
-    def test_load_vector_matches_matrix(self):
-        m = model(K=6)
-        mesh = fem1d.build_mesh(1.0, 7)
-        inc = noise.sample_increment(m, 0.1, noise.RngStream(3, 0))
-        got = noise.increment_load(mesh, inc)
-        expect = fem1d.sine_load_matrix(mesh, 6) @ inc.coeffs
-        assert np.allclose(got, expect, rtol=1e-14)
+        assert np.abs(draws.mean(axis=0)).max() < 4 * np.sqrt(expect[0] / steps) + 1e-4
 
 
 class TestTapes:
@@ -112,28 +103,19 @@ class TestTapes:
     def test_coarsen_children_sum_to_parents(self):
         tape = noise.make_path(model(K=3), 5, 1.0, 32)
         for factor in (1, 2, 4, 8, 32):
-            incs = noise.coarsen(tape, factor)
-            assert len(incs) == 32 // factor
-            assert incs[0].tau == pytest.approx(tape.tau * factor)
-            recon = np.stack([inc.coeffs for inc in incs])
-            assert np.array_equal(recon,
+            coarse = noise.coarsen_coeffs(tape.coeffs, factor)
+            assert coarse.shape == (32 // factor, 3)
+            assert np.array_equal(coarse,
                                   tape.coeffs.reshape(-1, factor, 3).sum(axis=1))
 
     def test_coarsen_rejects_bad_factors(self):
         tape = noise.make_path(model(K=2), 5, 1.0, 16)
         with pytest.raises(InvalidArgumentError):
-            noise.coarsen(tape, 3)
+            noise.coarsen_coeffs(tape.coeffs, 3)
         with pytest.raises(InvalidArgumentError):
-            noise.coarsen(tape, 32)
+            noise.coarsen_coeffs(tape.coeffs, 32)
         with pytest.raises(InvalidArgumentError):
-            noise.coarsen(tape, 0)
-
-    def test_increment_wrappers_match_coeffs(self):
-        tape = noise.make_path(model(K=2), 5, 1.0, 8)
-        incs = tape.increments
-        assert len(incs) == 8
-        assert all(inc.tau == tape.tau for inc in incs)
-        assert np.array_equal(np.stack([i.coeffs for i in incs]), tape.coeffs)
+            noise.coarsen_coeffs(tape.coeffs, 0)
 
     def test_tape_layout_row_major_in_time(self):
         # first K draws of the stream fill step 0, the next K fill step 1

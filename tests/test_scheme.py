@@ -137,14 +137,6 @@ class TestDrivingPathForms:
     def model(self):
         return noise.make_noise_model(0.5005, 4, 1.0)
 
-    def test_tape_equals_increment_list(self):
-        m = self.model()
-        cfg = config_for(3, 1.0 / 16)
-        tape = noise.make_path(m, 5, 1.0, 16)
-        s1, _ = scheme.run(cfg, tape)
-        s2, _ = scheme.run(cfg, tape.increments)
-        assert np.array_equal(s1.x, s2.x)
-
     def test_tape_autocoarsens(self):
         m = self.model()
         cfg = config_for(3, 1.0 / 8)
@@ -158,13 +150,6 @@ class TestDrivingPathForms:
         cfg = config_for(3, 1.0 / 32)
         with pytest.raises(InvalidArgumentError):
             scheme.run(cfg, noise.make_path(m, 5, 1.0, 16))
-
-    def test_increment_tau_mismatch_rejected(self):
-        m = self.model()
-        cfg = config_for(3, 1.0 / 8)
-        wrong = noise.make_path(m, 5, 1.0, 16).increments
-        with pytest.raises(InvalidArgumentError):
-            scheme.run(cfg, wrong)
 
     def test_batched_matches_sample_loop(self):
         m = self.model()
