@@ -19,8 +19,8 @@ import numpy as np
 from . import fem1d, harness
 from .drift import (DriftPolynomial, TamingParams, taming_inequality_suite,
                     validate_params)
-from .errors import (ConfigError, ConstraintError, InvalidArgumentError,
-                     NumericalBlowupError, SpdefemError)
+from .errors import (CapacityError, ConfigError, ConstraintError,
+                     InvalidArgumentError, NumericalBlowupError, SpdefemError)
 from .harness import (EquilibrationReport, MomentReport, RateReport,
                       Resolution, SmoothingReport)
 
@@ -565,7 +565,8 @@ def main(argv=None):
         summary = write_summary(report, args.out)
         print(_outcome_line(cfg.kind, summary))
         return 0
-    except (ConfigError, ConstraintError) as e:
+    except (ConfigError, InvalidArgumentError, CapacityError) as e:
+        # also what only the harness can check, e.g. a time off the step grid
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except NumericalBlowupError as e:

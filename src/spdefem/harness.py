@@ -160,15 +160,14 @@ def _n_blocks(cfg):
     return (cfg.samples + BLOCK - 1) // BLOCK
 
 
-def _tape_block(cfg, model, steps, stream_id, sample_indices):
-    """Stack per-sample tapes into a (steps, K, bs) array."""
-    bs = len(sample_indices)
-    if model is None:
-        return np.zeros((steps, 1, bs))
-    out = np.empty((steps, model.K, bs))
-    for col, sidx in enumerate(sample_indices):
-        ctx = noise.stream_context(stream_id, sidx)
-        out[:, :, col] = noise.sample_tape_coeffs(model, cfg.seed, cfg.T, steps, ctx)
+def _draw_chunk(samplers, rows, K, bs):
+    """The next `rows` fine rows of each sampler's tape, as (rows, K, bs).
+
+    Without samplers (no noise) the chunk is zero.
+    """
+    out = np.zeros((rows, K, bs))
+    for col, smp in enumerate(samplers):
+        out[:, :, col] = smp.rows(rows)
     return out
 
 
@@ -194,36 +193,46 @@ class Leg(NamedTuple):
 def _paths_block(cfg, b, legs):
     """Run every leg on the samples of block b; one result per leg, in order.
 
-    Each stream's tape is drawn once, at the finest m among its legs, and
-    every other leg on that stream runs on an exact coarsening of it, so
-    all resolutions of one sample see the same driving path. A leg yields
-    its final (n, bs) state, or its ObservableRecord when it records.
+    Each stream's tape is drawn at the finest m among its legs, in chunks
+    of noise.chunk_rows fine rows, and every leg on that stream steps
+    through each chunk in lockstep on an exact coarsening of it, so all
+    resolutions of one sample see the same driving path and no whole tape
+    is ever held. A leg yields its final (n, bs) state, or its
+    ObservableRecord when it records.
     """
     model = noise_model_for(cfg)
+    K = 1 if model is None else model.K
     idx = list(_block_range(cfg, b))
-    finest, last = {}, {}
-    for i, leg in enumerate(legs):
-        finest[leg.stream] = max(finest.get(leg.stream, 0), leg.res.m)
-        last[leg.stream] = i
-    tapes, ops, out = {}, {}, []
-    for i, leg in enumerate(legs):
-        m = finest[leg.stream]
-        if leg.stream not in tapes:
-            tapes[leg.stream] = _tape_block(cfg, model, 2**m, leg.stream, idx)
-        # a stream's tape is released after its last leg
-        tape = tapes[leg.stream] if i < last[leg.stream] else tapes.pop(leg.stream)
-        factor = 2 ** (m - leg.res.m)
-        coeffs = noise.coarsen_coeffs(tape, factor)
-        if b == 0 and factor > 1:
-            # re-assert the coupling invariant: children sum to parents
-            assert np.array_equal(coeffs[0], tape[:factor].sum(axis=0))
+    bs = len(idx)
+    ops, steppers = {}, []
+    for leg in legs:
         if leg.res.h_exp not in ops:
             ops[leg.res.h_exp] = fem1d.assemble_operators(_mesh_for(cfg, leg.res))
         o = ops[leg.res.h_exp]
         sc = scheme.make_scheme_config(o, cfg.drift, cfg.taming,
                                        _tau_for(cfg, leg.res),
                                        _initial_vector(cfg, o, leg.modes))
-        state, rec = scheme.run(sc, coeffs, leg.record)
+        steppers.append(scheme.Stepper(sc, K, bs, leg.record))
+    for stream in dict.fromkeys(leg.stream for leg in legs):
+        on = [i for i, leg in enumerate(legs) if leg.stream == stream]
+        m = max(legs[i].res.m for i in on)
+        factors = {i: 2 ** (m - legs[i].res.m) for i in on}
+        rows = noise.chunk_rows(2**m, K * bs, max(factors.values()))
+        samplers = [] if model is None else [
+            noise.TapeSampler(model, cfg.seed, cfg.T / 2**m,
+                              noise.stream_context(stream, sidx))
+            for sidx in idx]
+        for start in range(0, 2**m, rows):
+            chunk = _draw_chunk(samplers, rows, K, bs)
+            for i, factor in factors.items():
+                coeffs = noise.coarsen_coeffs(chunk, factor)
+                if b == 0 and start == 0 and factor > 1:
+                    # re-assert the coupling invariant: children sum to parents
+                    assert np.array_equal(coeffs[0], chunk[:factor].sum(axis=0))
+                steppers[i].advance(coeffs)
+    out = []
+    for leg, stepper in zip(legs, steppers):
+        state, rec = stepper.finish()
         out.append(state.x if leg.record is None else rec)
     return out
 

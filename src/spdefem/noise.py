@@ -8,7 +8,9 @@ Randomness is counter based: a Philox generator keyed by
 (master_seed, context) feeds an inverse-CDF transform, so any draw is a
 pure function of the key and its position in the stream. Tapes sampled
 at the finest dyadic resolution can be coarsened by exact summation,
-which is what couples resolutions in strong-error studies.
+which is what couples resolutions in strong-error studies. A tape may be
+drawn whole or a chunk of rows at a time (TapeSampler); the rows are the
+same bit for bit either way.
 """
 
 import math
@@ -21,8 +23,8 @@ from .errors import CapacityError, InvalidArgumentError
 
 SAMPLER_IDENTITY = "philox4x64-10/inverse-cdf"
 
-# largest K * finest_steps worth of tape held in memory at once
-MAX_TAPE_FLOATS = 2**26
+# floats of tape held at once: one whole tape, or one chunk of a block's tapes
+MAX_TAPE_FLOATS = 2**20
 
 
 def stream_context(stream_id, sample_index):
@@ -94,6 +96,35 @@ class PathTape:
         return self.coeffs.shape[0]
 
 
+class TapeSampler:
+    """One sample's tape, drawn a chunk of consecutive fine rows at a time.
+
+    The Philox stream is consumed in order and each row is scaled on its
+    own, so the chunks concatenate to the whole tape bit for bit.
+    """
+
+    def __init__(self, model, master_seed, tau, context=0):
+        self._rng = RngStream(master_seed, context)
+        self._scales = np.sqrt(tau) * coefficient_scales(model)
+
+    def rows(self, n):
+        """The next n rows of the tape, shape (n, K)."""
+        K = self._scales.size
+        return self._scales * self._rng.normals(n * K).reshape(n, K)
+
+
+def chunk_rows(steps, row_floats, min_rows):
+    """Fine rows per chunk of a tape whose rows hold row_floats floats each.
+
+    The largest power of two that keeps a chunk within MAX_TAPE_FLOATS, but
+    never fewer than min_rows (the largest coarsening factor, so every
+    coarse step sees whole groups) and never more than the tape's steps.
+    """
+    fit = MAX_TAPE_FLOATS // row_floats
+    rows = 1 << (fit.bit_length() - 1) if fit else 1
+    return min(steps, max(min_rows, rows))
+
+
 def sample_tape_coeffs(model, master_seed, T, finest_steps, context=0):
     """The (finest_steps, K) coefficient array of a tape, no wrapper."""
     steps = int(finest_steps)
@@ -105,9 +136,7 @@ def sample_tape_coeffs(model, master_seed, T, finest_steps, context=0):
         raise CapacityError(
             f"tape of {steps} x {model.K} coefficients exceeds the memory budget"
         )
-    tau = T / steps
-    xi = RngStream(master_seed, context).normals(steps * model.K)
-    return np.sqrt(tau) * coefficient_scales(model)[None, :] * xi.reshape(steps, model.K)
+    return TapeSampler(model, master_seed, T / steps, context).rows(steps)
 
 
 def make_path(model, master_seed, T, finest_steps, context=0):

@@ -214,6 +214,52 @@ def _normalize_increments(config, tape_or_increments, n_steps):
     return arr
 
 
+class Stepper:
+    """A run of the scheme over a driving path handed in consecutive chunks.
+
+    advance() takes the next (steps, K[, B]) rows of the path; advancing
+    chunk after chunk gives bit for bit the state and record of advancing
+    once over the whole path. batch replicates a 1-D initial state into
+    B columns. Recording never affects the dynamics.
+    """
+
+    def __init__(self, config, K, batch=None, record_spec=None):
+        self.config = config
+        self._loadmat = fem1d.sine_load_matrix(config.ops.mesh, K)
+        self._shifted = shifted_operator(config)
+        self._rec = _Recorder(config, record_spec) if record_spec is not None else None
+        x = np.asarray(config.initial, dtype=float)
+        if batch is not None and x.ndim == 1:
+            x = np.repeat(x[:, None], batch, axis=1)
+        self._x = x
+        self._m = 0
+        self._warned = False
+        if self._rec is not None:
+            self._rec.grab(0.0, x)
+
+    def advance(self, coeffs):
+        config, x, m = self.config, self._x, self._m
+        for row in coeffs:
+            m += 1
+            x = _advance(config, self._shifted, x, self._loadmat @ row, m)
+            if not self._warned:
+                sup = np.max(np.abs(x))
+                if sup > SOFT_SUP_NORM_CAP:
+                    warnings.warn(
+                        f"state sup norm {sup:.3g} at step {m}",
+                        RuntimeWarning, stacklevel=2,
+                    )
+                    self._warned = True
+            if self._rec is not None and m % self._rec.spec.stride == 0:
+                self._rec.grab(m * config.tau, x)
+        self._x, self._m = x, m
+
+    def finish(self):
+        """The final state and the ObservableRecord (None without a record_spec)."""
+        state = SchemeState(m=self._m, x=self._x, t=self._m * self.config.tau)
+        return state, (self._rec.finish() if self._rec is not None else None)
+
+
 def run(config, tape_or_increments, record_spec=None, n_steps=None):
     """Iterate the scheme over a whole driving path.
 
@@ -223,30 +269,7 @@ def run(config, tape_or_increments, record_spec=None, n_steps=None):
     record_spec given). Recording never affects the dynamics.
     """
     coeffs = _normalize_increments(config, tape_or_increments, n_steps)
-    steps = coeffs.shape[0]
-    mesh = config.ops.mesh
-    loadmat = fem1d.sine_load_matrix(mesh, coeffs.shape[1])
-    shifted = shifted_operator(config)
-    rec = _Recorder(config, record_spec) if record_spec is not None else None
-
-    x = np.asarray(config.initial, dtype=float)
-    if coeffs.ndim == 3 and x.ndim == 1:
-        # batched driving paths: replicate the initial state per column
-        x = np.repeat(x[:, None], coeffs.shape[2], axis=1)
-    if rec is not None:
-        rec.grab(0.0, x)
-    warned = False
-    for m in range(steps):
-        x = _advance(config, shifted, x, loadmat @ coeffs[m], m + 1)
-        if not warned:
-            sup = np.max(np.abs(x))
-            if sup > SOFT_SUP_NORM_CAP:
-                warnings.warn(
-                    f"state sup norm {sup:.3g} at step {m + 1}",
-                    RuntimeWarning, stacklevel=2,
-                )
-                warned = True
-        if rec is not None and (m + 1) % record_spec.stride == 0:
-            rec.grab((m + 1) * config.tau, x)
-    state = SchemeState(m=steps, x=x, t=steps * config.tau)
-    return state, (rec.finish() if rec is not None else None)
+    batch = coeffs.shape[2] if coeffs.ndim == 3 else None
+    stepper = Stepper(config, coeffs.shape[1], batch, record_spec)
+    stepper.advance(coeffs)
+    return stepper.finish()

@@ -124,6 +124,18 @@ class TestMainExitCodes:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    @pytest.mark.parametrize("grid,times", [
+        ([[3, 4], [3, 5]], [0.3]),   # 0.3 is not a multiple of tau = 1/8
+        ([[3, 4], [4, 5]], [0.5]),   # the grid varies both m and h_exp
+    ])
+    def test_document_error_found_by_harness_exits_2(self, tmp_path, grid, times):
+        doc = cli.load_document("smoothing_spatial")
+        doc["study"].update(T=1.0, grid=grid, times=times)
+        cli.parse_document(doc)
+        rc = cli.main(["smoothing", "--config", doc_file(tmp_path, doc),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+
 
 class TestOutputs:
     def run_tiny(self, tmp_path, sub, extra=()):

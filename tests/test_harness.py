@@ -1,11 +1,12 @@
 """Monte Carlo study drivers: estimators, determinism, reporting."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spdefem import cli, harness
+from spdefem import cli, harness, noise
 from spdefem.drift import DriftPolynomial, TamingParams
 from spdefem.errors import InvalidArgumentError
 from spdefem.harness import Resolution, make_study_config
@@ -143,6 +144,41 @@ class TestStrongStudy:
         cfg = dataclasses.replace(cfg, reference=None)
         with pytest.raises(InvalidArgumentError):
             harness.strong_rate_study(cfg)
+
+
+class TestStreamedTapes:
+    @pytest.mark.parametrize("study", ["strong", "weak_crn", "weak_independent",
+                                       "equilibrate", "longtime"])
+    def test_chunk_size_never_changes_results(self, study, tmp_path, monkeypatch):
+        run, make_cfg = MC_STUDIES[study]
+        cfg = dataclasses.replace(make_cfg(), samples=130)
+        outputs = []
+        for budget in (noise.MAX_TAPE_FLOATS, 1):
+            # a budget of one float makes every chunk the largest coarsening factor
+            monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", budget)
+            report = run(cfg)
+            csv = cli.write_report_csv(report, cfg, tmp_path / str(budget))
+            summary = cli.summary_dict(report)
+            summary.pop("metadata")
+            outputs.append((csv.read_bytes(), summary))
+        assert outputs[0] == outputs[1]
+
+    def test_block_memory_stays_within_budget(self, monkeypatch):
+        # the whole block tape would be 1024 x 15 x 64 floats = 7.9 MB
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**16)
+        cfg = make_study_config(
+            kind="strong_rate", L=1.0, drift=CUBIC, taming=TAMING,
+            initial_modes=None, s=0.5005, K=None,
+            grid=(Resolution(4, 4), Resolution(6, 4)),
+            reference=Resolution(10, 4), T=0.5, samples=64, seed=1)
+        legs = [harness.Leg(r, 0, None) for r in (*cfg.grid, cfg.reference)]
+        tracemalloc.start()
+        try:
+            harness._paths_block(cfg, 0, legs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestWeakStudy:

@@ -125,14 +125,36 @@ class TestTapes:
         assert np.array_equal(tape, raw)   # scale 1, tau 1 for this setup
 
     def test_batched_block_layout_matches_singles(self):
+        from spdefem.harness import _draw_chunk
         m = model(K=3)
         singles = [noise.sample_tape_coeffs(m, 4, 1.0, 8,
                                             noise.stream_context(0, i))
                    for i in range(5)]
         stacked = np.stack(singles, axis=2)
-        from spdefem.harness import StudyConfig, Resolution, _tape_block
-        cfg = StudyConfig(kind="strong_rate", L=1.0, drift=None, taming=None,
-                          initial_modes=None, s=0.5005, K=3,
-                          grid=(Resolution(3, 2),), reference=None,
-                          T=1.0, samples=5, seed=4)
-        assert np.array_equal(_tape_block(cfg, m, 8, 0, list(range(5))), stacked)
+        samplers = [noise.TapeSampler(m, 4, 1.0 / 8, noise.stream_context(0, i))
+                    for i in range(5)]
+        chunks = [_draw_chunk(samplers, rows, 3, 5) for rows in (3, 5)]
+        assert np.array_equal(np.concatenate(chunks), stacked)
+
+
+class TestChunkedTapes:
+    @pytest.mark.parametrize("rows", [1, 3, 4, 8])
+    def test_chunks_concatenate_to_whole_tape(self, rows):
+        # with K = 3, chunks of 1 or 3 rows end inside Philox's 4-word buffer
+        m = model(K=3)
+        ctx = noise.stream_context(1, 5)
+        whole = noise.sample_tape_coeffs(m, 17, 2.0, 32, ctx)
+        sampler = noise.TapeSampler(m, 17, 2.0 / 32, ctx)
+        sizes = [rows] * (32 // rows) + ([32 % rows] if 32 % rows else [])
+        chunks = np.concatenate([sampler.rows(r) for r in sizes])
+        assert np.array_equal(chunks, whole)
+
+    def test_chunk_rows_policy(self):
+        # 2**20 floats of a 63-mode, 64-sample block: 256 rows of 4032 floats
+        assert noise.chunk_rows(4096, 63 * 64, 128) == 256
+        # never fewer rows than the largest coarsening factor
+        assert noise.chunk_rows(4096, 63 * 64, 1024) == 1024
+        # never more rows than the tape has
+        assert noise.chunk_rows(64, 10, 1) == 64
+        # a row larger than the budget still gets a chunk of one row
+        assert noise.chunk_rows(8, 2**21, 1) == 1

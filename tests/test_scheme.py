@@ -175,6 +175,24 @@ class TestRecording:
         assert np.array_equal(r4.times, r1.times[::4])
         assert np.array_equal(r4.l2, r1.l2[::4])
 
+    def test_chunked_stepper_matches_one_run(self):
+        # chunks of 5, 3 and 8 rows cut across the recording stride of 4
+        m = noise.make_noise_model(0.5005, 4, 1.0)
+        cfg = config_for(3, 1.0 / 16)
+        tape = np.stack([noise.sample_tape_coeffs(m, 8, 1.0, 16,
+                                                  noise.stream_context(0, i))
+                         for i in range(3)], axis=2)
+        spec = scheme.RecordSpec(stride=4, gamma=0.75)
+        whole, rec = scheme.run(cfg, tape, spec)
+        stepper = scheme.Stepper(cfg, 4, 3, spec)
+        for lo, hi in ((0, 5), (5, 8), (8, 16)):
+            stepper.advance(tape[lo:hi])
+        chunked, crec = stepper.finish()
+        assert (chunked.m, chunked.t) == (whole.m, whole.t)
+        assert np.array_equal(chunked.x, whole.x)
+        for name in ("times", "l2", "l4", "l_high", "hgamma_sq"):
+            assert np.array_equal(getattr(crec, name), getattr(rec, name))
+
     def test_recorded_quantities_match_manual(self):
         m = noise.make_noise_model(0.5005, 4, 1.0)
         cfg = config_for(4, 1.0 / 8)
