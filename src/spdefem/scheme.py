@@ -13,6 +13,7 @@ trailing batch axis, which is how the Monte Carlo harness runs whole
 blocks of samples in lockstep.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -22,7 +23,7 @@ import numpy as np
 from . import fem1d
 from .drift import eval_f_tamed, one_sided_constant, validate_params
 from .errors import InvalidArgumentError, NumericalBlowupError
-from .fem1d import TriDiagSym, TriFactor, tridiag_matvec
+from .fem1d import QUAD_R, QUAD_W, TriDiagSym, TriFactor, tridiag_matvec
 from .noise import PathTape, coarsen_coeffs
 
 SOFT_SUP_NORM_CAP = 1e6
@@ -94,33 +95,14 @@ def drift_load(config, x):
     return fem1d.quad_load(mesh, fq)
 
 
-def _advance(config, shifted, x, inc_load, step_index):
-    rhs = tridiag_matvec(config.ops.mass, x)
-    if config.drift is not None:
-        rhs += config.tau * drift_load(config, x)
-    rhs = rhs + inc_load
-    x1 = shifted.solve(rhs)
-    if not np.all(np.isfinite(x1)):
-        raise NumericalBlowupError(step_index, np.max(np.abs(x1)))
-    return x1
-
-
-def step(config, state, inc_load, shifted=None):
-    """Advance one step. inc_load is the assembled noise load vector."""
+def step(config, state, inc_load):
+    """Advance one step from state. inc_load is the assembled noise load vector."""
     inc_load = np.asarray(inc_load, dtype=float)
     if inc_load.shape[0] != config.ops.mesh.n_interior:
         raise InvalidArgumentError("noise load does not match the mesh")
-    if shifted is None:
-        shifted = shifted_operator(config)
-    x1 = _advance(config, shifted, state.x, inc_load, state.m + 1)
-    sup = np.max(np.abs(x1))
-    if sup > SOFT_SUP_NORM_CAP:
-        warnings.warn(
-            f"state sup norm {sup:.3g} at step {state.m + 1}; "
-            "taming normally keeps iterates far below this",
-            RuntimeWarning, stacklevel=2,
-        )
-    return SchemeState(m=state.m + 1, x=x1, t=(state.m + 1) * config.tau)
+    stepper = Stepper(config, 1, start=state)
+    stepper.step(inc_load)
+    return stepper.finish()[0]
 
 
 @dataclass
@@ -199,7 +181,7 @@ def _normalize_increments(config, tape_or_increments, n_steps):
     if src is None:
         if n_steps is None:
             raise InvalidArgumentError("zero-noise run needs n_steps")
-        return np.zeros((int(n_steps), 1))
+        return np.zeros((int(n_steps), 1) + np.shape(config.initial)[1:])
     if isinstance(src, PathTape):
         ratio = config.tau / src.tau
         factor = int(round(ratio))
@@ -214,49 +196,173 @@ def _normalize_increments(config, tape_or_increments, n_steps):
     return arr
 
 
+def _tame_quartic_root(u, c):
+    """u -> (1 + c u^8)^(1/4) in place, u^8 by repeated squaring (q = 2, alpha = 1/4)."""
+    u *= u
+    u *= u
+    u *= u
+    u *= c
+    u += 1.0
+    np.sqrt(u, out=u)
+    np.sqrt(u, out=u)
+
+
+def _tame_general(u, c, alpha, expo):
+    """u -> (1 + c |u|^expo)^alpha in place: drift.taming_factor, operation for operation."""
+    np.abs(u, out=u)
+    u **= expo
+    u *= c
+    u += 1.0
+    u **= alpha
+
+
+class _Work:
+    """Work arrays for the steps of one advance() call, at one batch width.
+
+    They live for one call, not for the whole run: a block holds one
+    stepper per leg, but only one of them advances at a time.
+    """
+
+    def __init__(self, n, width, drift):
+        self.pad = np.zeros((n + 2, width))       # the state with its zero boundary
+        self.rhs = np.empty((n, width))
+        self.tmp = np.empty((n, width))
+        if drift:
+            self.vq = np.empty((4, n + 1, width))   # u at the quad points, then the taming factor
+            self.fq = np.empty_like(self.vq)        # f(u), then f_tamed(u)
+
+
 class Stepper:
     """A run of the scheme over a driving path handed in consecutive chunks.
 
     advance() takes the next (steps, K[, B]) rows of the path; advancing
     chunk after chunk gives bit for bit the state and record of advancing
     once over the whole path. batch replicates a 1-D initial state into
-    B columns. Recording never affects the dynamics.
+    B columns; start (a SchemeState) begins the run at that state and
+    step instead of the config's initial state at step 0. Recording never
+    affects the dynamics.
+
+    Each advance() allocates its work arrays once and runs every step in
+    them: the tamed drift is interpolated, evaluated, tamed and assembled
+    in place on quad-major (4, n+1, B) arrays, and the shifted system is
+    solved by the cached tridiagonal factorization (whose result is the
+    one array a step allocates).
     """
 
-    def __init__(self, config, K, batch=None, record_spec=None):
+    def __init__(self, config, K, batch=None, record_spec=None, start=None):
         self.config = config
-        self._loadmat = fem1d.sine_load_matrix(config.ops.mesh, K)
-        self._shifted = shifted_operator(config)
-        self._rec = _Recorder(config, record_spec) if record_spec is not None else None
-        x = np.asarray(config.initial, dtype=float)
+        ops = config.ops
+        n = ops.mesh.n_interior
+        x = np.asarray(config.initial if start is None else start.x, dtype=float)
         if batch is not None and x.ndim == 1:
             x = np.repeat(x[:, None], batch, axis=1)
-        self._x = x
-        self._m = 0
+        self._loadmat = fem1d.sine_load_matrix(ops.mesh, K)
+        self._shifted = shifted_operator(config)
+        width = 1 if x.ndim == 1 else x.shape[1]
+        self._x = x.reshape(n, width).copy()     # the state, one column per path
+        self._view = self._x[:, 0] if x.ndim == 1 else self._x   # the state as given
+        M = ops.mass
+        # M x = main x + lo (x shifted down) + hi (x shifted up), on the padded state
+        self._mass = (M.main[:, None], np.r_[0.0, M.off][:, None],
+                      np.r_[M.off, 0.0][:, None])
+        if config.drift is not None:
+            # tau h w_k phi(r_k) for the rising (node e) and falling (node e-1) hats
+            self._weights = config.tau * ops.mesh.h * np.stack(
+                [QUAD_W * QUAD_R, QUAD_W * (1.0 - QUAD_R)])
+            tp = config.taming
+            c = tp.beta1 * config.tau**tp.theta + tp.beta2 * ops.mesh.h**tp.rho
+            # a partial, not a bound method: a reference cycle would keep
+            # finished steppers alive until the garbage collector runs
+            if config.drift.q == 2 and tp.alpha == 0.25:
+                self._tame = functools.partial(_tame_quartic_root, c=c)
+            else:
+                self._tame = functools.partial(
+                    _tame_general, c=c, alpha=tp.alpha,
+                    expo=(2.0 * config.drift.q - 2.0) / tp.alpha)
+        self._rec = _Recorder(config, record_spec) if record_spec is not None else None
+        self._m = 0 if start is None else start.m
         self._warned = False
         if self._rec is not None:
-            self._rec.grab(0.0, x)
+            self._rec.grab(self._m * config.tau, self._view)
+
+    def _work(self):
+        return _Work(*self._x.shape, self.config.drift is not None)
+
+    def _drift_from_pad(self, w):
+        """tau * drift_load at the state held in w.pad, as (n, B) in w.tmp."""
+        pad, vq, fq = w.pad, w.vq, w.fq
+        r = QUAD_R[:, None, None]
+        np.multiply(pad[None, :-1], 1.0 - r, out=vq)
+        np.multiply(pad[None, 1:], r, out=fq)
+        vq += fq
+        coeffs = self.config.drift.coeffs       # Horner, as in drift.eval_f
+        np.multiply(vq, coeffs[-1], out=fq)
+        fq += coeffs[-2]
+        for c in coeffs[-3::-1]:
+            fq *= vq
+            fq += c
+        self._tame(vq)
+        fq /= vq
+        # the (2, (n+1)B) element loads overwrite the first half of vq
+        loads = vq.reshape(4, -1)[:2]
+        np.matmul(self._weights, fq.reshape(4, -1), out=loads)
+        loads = loads.reshape(2, *vq.shape[1:])
+        # element e feeds its rising part to node e and its falling part to node e-1
+        return np.add(loads[0, :-1], loads[1, 1:], out=w.tmp)
+
+    def drift_term(self, x):
+        """tau * drift_load(config, x) through the fused kernel (config with a drift).
+
+        x is (n,) or (n, B) with the stepper's batch width; so is the result.
+        """
+        w = self._work()
+        w.pad[1:-1] = np.reshape(x, self._x.shape)
+        return self._drift_from_pad(w).reshape(np.shape(x))
+
+    def _step(self, w):
+        # w.rhs holds the noise load on entry
+        config, x, pad, rhs, tmp = self.config, self._x, w.pad, w.rhs, w.tmp
+        pad[1:-1] = x
+        main, lo, hi = self._mass
+        np.multiply(x, main, out=tmp)
+        rhs += tmp
+        np.multiply(pad[:-2], lo, out=tmp)
+        rhs += tmp
+        np.multiply(pad[2:], hi, out=tmp)
+        rhs += tmp
+        if config.drift is not None:
+            rhs += self._drift_from_pad(w)
+        x[...] = self._shifted.solve(rhs)
+        self._m = m = self._m + 1
+        sup = max(x.max(), -x.min())
+        if not np.isfinite(sup):
+            raise NumericalBlowupError(m, sup)
+        if sup > SOFT_SUP_NORM_CAP and not self._warned:
+            warnings.warn(
+                f"state sup norm {sup:.3g} at step {m}; "
+                "taming normally keeps iterates far below this",
+                RuntimeWarning, stacklevel=3,
+            )
+            self._warned = True
+        if self._rec is not None and m % self._rec.spec.stride == 0:
+            self._rec.grab(m * config.tau, self._view)
+
+    def step(self, load):
+        """One step of the scheme with the assembled noise load, (n,) or (n, B)."""
+        w = self._work()
+        w.rhs[...] = np.reshape(load, (len(load), -1))
+        self._step(w)
 
     def advance(self, coeffs):
-        config, x, m = self.config, self._x, self._m
+        """Step once per row of the next (steps, K) or (steps, K, B) rows of the path."""
+        w = self._work()
         for row in coeffs:
-            m += 1
-            x = _advance(config, self._shifted, x, self._loadmat @ row, m)
-            if not self._warned:
-                sup = np.max(np.abs(x))
-                if sup > SOFT_SUP_NORM_CAP:
-                    warnings.warn(
-                        f"state sup norm {sup:.3g} at step {m}",
-                        RuntimeWarning, stacklevel=2,
-                    )
-                    self._warned = True
-            if self._rec is not None and m % self._rec.spec.stride == 0:
-                self._rec.grab(m * config.tau, x)
-        self._x, self._m = x, m
+            np.matmul(self._loadmat, row.reshape(row.shape[0], -1), out=w.rhs)
+            self._step(w)
 
     def finish(self):
         """The final state and the ObservableRecord (None without a record_spec)."""
-        state = SchemeState(m=self._m, x=self._x, t=self._m * self.config.tau)
+        state = SchemeState(m=self._m, x=self._view.copy(), t=self._m * self.config.tau)
         return state, (self._rec.finish() if self._rec is not None else None)
 
 

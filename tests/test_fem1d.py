@@ -81,21 +81,45 @@ class TestTridiagonal:
             assert resid <= 1e-12 * (anorm * np.abs(x).max() + np.abs(rhs).max())
 
     def test_indefinite_matrix_rejected(self):
+        # second pivot 0.24 - 0.5^2 / 1 = -0.01
         A = fem1d.TriDiagSym(dim=2, main=np.array([1.0, 0.24]), off=np.array([0.5]))
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match=r"pivot -0\.0100.* at row 1"):
             fem1d.solve_tridiag(A, np.array([1.0, 1.0]))
 
+    def test_nan_pivot_rejected(self):
+        A = fem1d.TriDiagSym(dim=3, main=np.array([2.0, np.nan, 2.0]),
+                             off=np.array([-1.0, -1.0]))
+        with pytest.raises(SingularMatrixError, match="pivot nan at row 1"):
+            fem1d.TriFactor(A)
+
     def test_factor_matches_direct_solve(self):
-        ops = ops_for(1.0, 15)
-        A = fem1d.TriDiagSym(dim=15, main=ops.mass.main + 0.5 * ops.stiffness.main,
-                             off=ops.mass.off + 0.5 * ops.stiffness.off)
-        rng = np.random.default_rng(8)
-        rhs = rng.normal(size=(15, 3))
-        fac = fem1d.TriFactor(A)
-        for b in range(3):
-            assert fac.solve(rhs[:, b]) == pytest.approx(
-                list(fem1d.solve_tridiag(A, rhs[:, b])), rel=1e-12)
-        assert np.allclose(fac.solve(rhs)[:, 1], fac.solve(rhs[:, 1]))
+        # against a dense solve, not solve_tridiag, which is a TriFactor solve
+        for n in (1, 2, 7, 63):
+            ops = ops_for(1.0, n)
+            A = fem1d.TriDiagSym(dim=n, main=ops.mass.main + 0.5 * ops.stiffness.main,
+                                 off=ops.mass.off + 0.5 * ops.stiffness.off)
+            rng = np.random.default_rng([8, n])
+            rhs = rng.normal(size=(n, 3))
+            fac = fem1d.TriFactor(A)
+            dense = np.linalg.solve(fem1d._dense(A), rhs)
+            assert fac.solve(rhs).shape == (n, 3)
+            assert np.allclose(fac.solve(rhs), dense, rtol=1e-12, atol=1e-14)
+            for b in range(3):
+                got = fac.solve(rhs[:, b])
+                assert got.shape == (n,)
+                assert np.allclose(got, dense[:, b], rtol=1e-12, atol=1e-14)
+
+    def test_nan_rhs_propagates(self):
+        # the stepper detects a blow-up from its iterates, so a NaN must
+        # come back as NaN rather than as an error
+        ops = ops_for(1.0, 7)
+        fac = fem1d.TriFactor(ops.mass)
+        rhs = np.ones((7, 2))
+        rhs[3, 1] = np.nan
+        x = fac.solve(rhs)
+        assert np.all(np.isfinite(x[:, 0]))
+        assert np.isnan(x[:, 1]).any()
+        assert np.isnan(fac.solve(rhs[:, 1])).any()
 
 
 class TestProjection:

@@ -133,7 +133,13 @@ class TestTapes:
         stacked = np.stack(singles, axis=2)
         samplers = [noise.TapeSampler(m, 4, 1.0 / 8, noise.stream_context(0, i))
                     for i in range(5)]
-        chunks = [_draw_chunk(samplers, rows, 3, 5) for rows in (3, 5)]
+        # one buffer refilled in place, as the block driver does, so each
+        # chunk is copied out before the next fill
+        buf = np.zeros((5, 3, 5))
+        chunks = []
+        for rows in (3, 5):
+            _draw_chunk(samplers, buf[:rows])
+            chunks.append(buf[:rows].copy())
         assert np.array_equal(np.concatenate(chunks), stacked)
 
 

@@ -1,5 +1,8 @@
 """Time stepper: linear algebra, oracle cross-checks, batching, recording."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,53 @@ class TestSingleStepOracle:
         assert np.allclose(got, expect, rtol=1e-12)
 
 
+QUINTIC = drift.DriftPolynomial(q=3, coeffs=(0.5, 1.0, -0.3, 0.2, 0.1, -1.0))
+SQRT_TAMING = drift.TamingParams(alpha=0.5, theta=1.0, rho=2.0, beta1=1.0, beta2=1.0)
+
+
+class TestFusedDriftKernel:
+    # (drift, taming, the taming path the stepper must pick)
+    CASES = {
+        "cubic-quartic-root": (CUBIC, TAMING, "_tame_quartic_root"),
+        "quintic-general": (QUINTIC, TAMING, "_tame_general"),
+        "cubic-alpha-half-general": (CUBIC, SQRT_TAMING, "_tame_general"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("n", [1, 2, 63])
+    @pytest.mark.parametrize("batch", [None, 5])
+    def test_matches_drift_load(self, case, n, batch):
+        poly, taming, path = self.CASES[case]
+        ops = fem1d.assemble_operators(fem1d.build_mesh(1.0, n))
+        rng = np.random.default_rng([n, batch or 0])
+        shape = (n,) if batch is None else (n, batch)
+        # magnitudes from 1e-3 to 1e3, so the taming factor ranges from ~1 to huge
+        x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        cfg = scheme.make_scheme_config(ops, poly, taming, 0.01, np.zeros(n))
+        stepper = scheme.Stepper(cfg, 1, batch)
+        assert stepper._tame.func.__name__ == path
+        expect = cfg.tau * scheme.drift_load(cfg, x)
+        got = stepper.drift_term(x)
+        assert got.shape == shape
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+    def test_reused_work_arrays_match_fresh_ones(self):
+        # advance() reuses one set of work arrays for all its steps; single
+        # steps get fresh ones. Nothing may carry over from step to step.
+        m = noise.make_noise_model(0.5005, 4, 1.0)
+        cfg = config_for(4, 1.0 / 8, initial=np.sin(np.arange(15.0)))
+        tape = np.stack([noise.sample_tape_coeffs(m, 3, 1.0, 8,
+                                                  noise.stream_context(0, i))
+                         for i in range(3)], axis=2)
+        whole = scheme.Stepper(cfg, 4, 3)
+        whole.advance(tape)
+        single = scheme.Stepper(cfg, 4, 3)
+        loadmat = fem1d.sine_load_matrix(cfg.ops.mesh, 4)
+        for row in tape:
+            single.step(loadmat @ row)
+        assert np.array_equal(whole.finish()[0].x, single.finish()[0].x)
+
+
 class TestRunBehaviour:
     def test_heat_decay_monotone(self):
         ops = ops_for(5)
@@ -131,6 +181,20 @@ class TestRunBehaviour:
         state, _ = scheme.run(cfg, None, n_steps=8)
         assert state.m == 8
         assert state.t == pytest.approx(2.0)
+
+    def test_finished_stepper_freed_without_collector(self):
+        # a block builds one stepper per leg; a reference cycle would keep
+        # each one (and its load matrix) alive until the collector runs
+        cfg = config_for(4, 0.01)
+        gc.disable()
+        try:
+            stepper = scheme.Stepper(cfg, 4, 3)
+            stepper.advance(np.zeros((2, 4, 3)))
+            ref = weakref.ref(stepper)
+            del stepper
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestDrivingPathForms:
