@@ -14,9 +14,7 @@ import numpy as np
 
 from . import fem1d
 from .errors import AccuracyError, InvalidArgumentError
-from .fem1d import TriFactor
 from .noise import RngStream
-from .scheme import shifted_tridiag
 
 
 @dataclass(frozen=True)
@@ -73,10 +71,13 @@ def rough_initial(K, seed, L=1.0):
 
 
 def discrete_propagator(ops, tau, n, v):
-    """n steps of the factorized implicit heat map applied to P_h v.
+    """n steps of the implicit heat map (M + tau S)^{-1} M applied to P_h v.
 
-    v is a SpectralFunction (projected exactly) or a nodal vector
-    (already in the FE space). n = 0 returns the projection itself.
+    v is a SpectralFunction (projected exactly) or a nodal vector, (n,) or
+    (n, B), already in the FE space. n = 0 returns the projection itself.
+    The DST-I sine vectors diagonalize M and S on the uniform mesh, so the
+    n steps are one scaling of mode j by (1 + tau lambda_{j,h})^{-n} between
+    two sine transforms (Strang, SIAM Rev. 1999).
     """
     n = int(n)
     if n < 0:
@@ -89,11 +90,11 @@ def discrete_propagator(ops, tau, n, v):
         x = np.asarray(v, dtype=float)
     if n == 0:
         return x
-    shifted = TriFactor(shifted_tridiag(ops, tau))
-    M = ops.mass
-    for _ in range(n):
-        x = shifted.solve(fem1d.tridiag_matvec(M, x))
-    return x
+    dim = ops.mesh.n_interior
+    lam = fem1d.uniform_mesh_eigenvalue(ops.mesh, np.arange(1, dim + 1))
+    gain = (1.0 + tau * lam) ** -float(n)
+    gain = gain.reshape(-1, *([1] * (x.ndim - 1)))
+    return fem1d.sine_transform(gain * fem1d.sine_transform(x)) / (2.0 * (dim + 1))
 
 
 def smoothing_error(ops, tau, n, p, v, eval_modes=None):

@@ -5,7 +5,9 @@ generalized eigenpairs S e_j = lambda_j M e_j of the mesh alone (modes
 M-orthonormal, E = [e_1 .. e_n]). The acceptance scoreboard uses these
 closed forms to show, without Monte Carlo, which order a resolution grid
 can exhibit, and to split a fully discrete smoothing error into its
-space and time parts.
+space and time parts. The eigenpairs come from the dense solver in
+dense_reference, not from the package's closed-form spectrum, so these
+checks compare the package with an independent computation.
 """
 
 import numpy as np
@@ -13,11 +15,13 @@ import numpy as np
 from spdefem import fem1d, harness, noise
 from spdefem.smoothing_lab import evaluate_spectral, exact_semigroup
 
+from dense_reference import dense_eigenpairs
+
 
 def _spectral_coeffs(ops, x):
-    """Eigenvalues and coordinates c = E^T M x of nodal data x."""
-    spec = fem1d.discrete_spectrum(ops)
-    return spec, spec.modes.T @ fem1d.tridiag_matvec(ops.mass, x)
+    """Eigenvalues, modes E and coordinates c = E^T M x of nodal data x."""
+    lam, modes = dense_eigenpairs(ops.mesh.L, ops.mesh.n_interior)
+    return lam, modes, modes.T @ fem1d.tridiag_matvec(ops.mass, x)
 
 
 def drift_free_weak_value(cfg, res):
@@ -41,10 +45,10 @@ def drift_free_weak_value(cfg, res):
     model = harness.noise_model_for(cfg)
     ops = fem1d.assemble_operators(harness._mesh_for(cfg, res))
     tau = harness._tau_for(cfg, res)
-    spec = fem1d.discrete_spectrum(ops)
-    G = spec.modes.T @ fem1d.sine_load_matrix(ops.mesh, model.K)
+    lam, modes = dense_eigenpairs(ops.mesh.L, ops.mesh.n_interior)
+    G = modes.T @ fem1d.sine_load_matrix(ops.mesh, model.K)
     q = noise.coefficient_scales(model) ** 2
-    r = 1.0 / (1.0 + tau * spec.lambdas)
+    r = 1.0 / (1.0 + tau * lam)
     rho = np.outer(r, r)
     steps = 2**res.m
     cov = tau * ((G * q) @ G.T) * (rho * (1.0 - rho**steps) / (1.0 - rho))
@@ -72,8 +76,8 @@ def semidiscrete_smoothing_error(ops, t, v):
     two errors are measured in the same norm.
     """
     mesh = ops.mesh
-    spec, c = _spectral_coeffs(ops, fem1d.project_sine_coeffs(ops, v.coeffs))
-    xh = spec.modes @ (np.exp(-t * spec.lambdas) * c)
+    lam, modes, c = _spectral_coeffs(ops, fem1d.project_sine_coeffs(ops, v.coeffs))
+    xh = modes @ (np.exp(-t * lam) * c)
     dq = (evaluate_spectral(exact_semigroup(v, t), fem1d.element_quad_points(mesh))
           - fem1d.interpolant_at_quad(mesh, xh))
     return float(np.sqrt(mesh.h * np.einsum("q,eq->", fem1d.QUAD_W, dq**2)))
@@ -91,7 +95,6 @@ def time_only_smoothing_error(ops, tau, n, v):
     the fully discrete error e_full and the time-free error e_space obey
     |e_full - e_space| <= e_time.
     """
-    spec, c = _spectral_coeffs(ops, fem1d.project_sine_coeffs(ops, v.coeffs))
-    lam = spec.lambdas
+    lam, _, c = _spectral_coeffs(ops, fem1d.project_sine_coeffs(ops, v.coeffs))
     return float(np.linalg.norm(
         ((1.0 + tau * lam) ** -float(n) - np.exp(-n * tau * lam)) * c))

@@ -10,6 +10,7 @@ reference codes that rule independently rather than out-integrating it.
 """
 
 import numpy as np
+import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
 
@@ -52,18 +53,53 @@ def dense_mass_stiffness(L, n):
     return M, S
 
 
+def dense_eigenpairs(L, n):
+    """Generalized eigenpairs S e = lambda M e by a dense solver, ascending.
+
+    Modes are M-orthonormal columns, signed so that the largest-magnitude
+    entry of each is positive.
+    """
+    M, S = dense_mass_stiffness(L, n)
+    lam, vec = scipy.linalg.eigh(S, M)
+    vec *= np.sign(vec[np.argmax(np.abs(vec), axis=0), np.arange(n)])
+    return lam, vec
+
+
+def loop_propagator(L, n, tau, steps, x):
+    """steps solves (M + tau S) x_new = M x_old, one after the other."""
+    M, S = dense_mass_stiffness(L, n)
+    lu = scipy.linalg.lu_factor(M + tau * S)
+    for _ in range(steps):
+        x = scipy.linalg.lu_solve(lu, M @ x)
+    return x
+
+
+def dense_sine_projection(L, n, coeffs):
+    """Nodal values of the L2 projection of sum_j coeffs[j-1] sqrt(2/L) sin(j pi x / L)."""
+    M, _ = dense_mass_stiffness(L, n)
+    return np.linalg.solve(M, dense_sine_loads(L, n, len(coeffs)) @ coeffs)
+
+
 def dense_sine_loads(L, n, K):
-    """b[i, j] = integral of hat_i times sqrt(2/L) sin((j+1) pi x / L)."""
+    """b[i, j] = integral of hat_i times sqrt(2/L) sin((j+1) pi x / L).
+
+    Every hat is a translate of one profile: with offsets o from the centre
+    c, sin(k (c + o)) = sin(kc) cos(ko) + cos(kc) sin(ko) leaves two
+    integrals over the profile. Each half of the profile is cut into pieces
+    no longer than L / K, so the 64-point rule sees at most half a period
+    of the highest mode.
+    """
     h = L / (n + 1)
     centers = np.arange(1, n + 1) * h
-    B = np.zeros((n, K))
-    for i in range(n):
-        for piece in (centers[i] - h, centers[i]):
-            x, w = gauss_on(piece, piece + h, 64)
-            for j in range(K):
-                B[i, j] += np.sum(w * hat(x, centers[i], h)
-                                  * np.sqrt(2.0 / L) * np.sin((j + 1) * np.pi * x / L))
-    return B
+    k = np.arange(1, K + 1) * np.pi / L
+    edges = np.linspace(-h, h, 2 * int(np.ceil(K * h / L)) + 1)
+    pieces = [gauss_on(lo, hi, 64) for lo, hi in zip(edges[:-1], edges[1:])]
+    o = np.concatenate([x for x, _ in pieces])
+    hw = np.concatenate([w for _, w in pieces]) * hat(o, 0.0, h)
+    cos_int = hw @ np.cos(np.outer(o, k))
+    sin_int = hw @ np.sin(np.outer(o, k))
+    kc = np.outer(centers, k)
+    return np.sqrt(2.0 / L) * (np.sin(kc) * cos_int + np.cos(kc) * sin_int)
 
 
 # the method's own quadrature rule, coded from the Legendre roots

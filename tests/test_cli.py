@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from spdefem import cli
+from spdefem import cli, fem1d
 from spdefem.errors import ConfigError, ConstraintError
 
 TINY_STRONG = {
@@ -214,6 +214,23 @@ class TestOutputs:
         rows = json.loads((out / "summary.json").read_text())["rows"]
         assert all(r["ok"] for r in rows)
         assert rows[0]["n_interior"] == 7
+        assert all(r["max_rel_residual"] < 1e-12 for r in rows)
+
+    def test_spectrum_check_catches_wrong_eigenvalues(self, tmp_path, monkeypatch):
+        # a 1e-6 relative error keeps every eigenvalue bound, so only the
+        # residual against the assembled operators can see it
+        exact = fem1d.uniform_mesh_eigenvalue
+        monkeypatch.setattr(fem1d, "uniform_mesh_eigenvalue",
+                            lambda mesh, j: exact(mesh, j) * (1.0 + 1e-6))
+        out = tmp_path / "out"
+        doc = {"problem": {"L": 1.0, "drift_coeffs": None, "initial": "zero"},
+               "study": {"kind": "spectrum_check", "T": 1.0,
+                         "grid": [[0, 3], [0, 5]]}}
+        cli.main(["spectrum-check", "--config", doc_file(tmp_path, doc),
+                  "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] is False
+        assert all(r["max_rel_residual"] > 1e-7 for r in summary["rows"])
 
     def test_smoothing_csv_layout(self, tmp_path):
         out = tmp_path / "out"

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from spdefem import fem1d
-from spdefem.errors import (AccuracyError, CapacityError, InvalidArgumentError,
+from spdefem.errors import (CapacityError, InvalidArgumentError,
                             SingularMatrixError)
-from dense_reference import dense_mass_stiffness, dense_sine_loads
+from dense_reference import dense_eigenpairs, dense_mass_stiffness, dense_sine_loads
 
 
 def ops_for(L, n):
     return fem1d.assemble_operators(fem1d.build_mesh(L, n))
+
+
+def full_matrix(A):
+    """The full matrix of a symmetric tridiagonal operator."""
+    return np.diag(A.main) + np.diag(A.off, 1) + np.diag(A.off, -1)
 
 
 class TestMesh:
@@ -45,8 +50,8 @@ class TestAssembly:
     def test_matches_dense_quadrature_assembly(self, L, n):
         ops = ops_for(L, n)
         Md, Sd = dense_mass_stiffness(L, n)
-        assert np.allclose(fem1d._dense(ops.mass), Md, rtol=1e-13, atol=1e-15)
-        assert np.allclose(fem1d._dense(ops.stiffness), Sd, rtol=1e-13, atol=1e-13)
+        assert np.allclose(full_matrix(ops.mass), Md, rtol=1e-13, atol=1e-15)
+        assert np.allclose(full_matrix(ops.stiffness), Sd, rtol=1e-13, atol=1e-13)
 
 
 class TestTridiagonal:
@@ -54,7 +59,7 @@ class TestTridiagonal:
         rng = np.random.default_rng(5)
         A = fem1d.TriDiagSym(dim=6, main=rng.uniform(2, 3, 6), off=rng.uniform(-1, 1, 5))
         x = rng.normal(size=6)
-        assert np.allclose(fem1d.tridiag_matvec(A, x), fem1d._dense(A) @ x)
+        assert np.allclose(fem1d.tridiag_matvec(A, x), full_matrix(A) @ x)
 
     def test_matvec_batched(self):
         rng = np.random.default_rng(6)
@@ -101,7 +106,7 @@ class TestTridiagonal:
             rng = np.random.default_rng([8, n])
             rhs = rng.normal(size=(n, 3))
             fac = fem1d.TriFactor(A)
-            dense = np.linalg.solve(fem1d._dense(A), rhs)
+            dense = np.linalg.solve(full_matrix(A), rhs)
             assert fac.solve(rhs).shape == (n, 3)
             assert np.allclose(fac.solve(rhs), dense, rtol=1e-12, atol=1e-14)
             for b in range(3):
@@ -185,20 +190,23 @@ class TestSpectrum:
     def test_closed_form_tracks_dense_eigensolver(self):
         ops = ops_for(1.0, 31)
         spec = fem1d.discrete_spectrum(ops)
-        closed = [fem1d.uniform_mesh_eigenvalue(ops.mesh, j) for j in range(1, 32)]
-        assert np.allclose(spec.lambdas, closed, rtol=1e-11)
+        lam, vec = dense_eigenpairs(1.0, 31)
+        assert np.allclose(spec.lambdas, lam, rtol=1e-11)
+        # same modes up to sign: an even mode's two largest entries tie
+        Md, _ = dense_mass_stiffness(1.0, 31)
+        assert np.allclose(np.abs(spec.modes.T @ Md @ vec), np.eye(31), atol=1e-10)
 
     def test_mass_orthonormal_modes(self):
         ops = ops_for(1.5, 12)
         spec = fem1d.discrete_spectrum(ops)
-        Md = fem1d._dense(ops.mass)
+        Md, _ = dense_mass_stiffness(1.5, 12)
         G = spec.modes.T @ Md @ spec.modes
         assert np.allclose(G, np.eye(12), atol=1e-12)
 
     def test_generalized_eigen_residual(self):
         ops = ops_for(1.0, 20)
         spec = fem1d.discrete_spectrum(ops)
-        Sd, Md = fem1d._dense(ops.stiffness), fem1d._dense(ops.mass)
+        Md, Sd = dense_mass_stiffness(1.0, 20)
         resid = Sd @ spec.modes - Md @ spec.modes * spec.lambdas[None, :]
         assert np.abs(resid).max() <= 1e-8 * np.abs(spec.lambdas).max()
 
@@ -212,6 +220,22 @@ class TestSpectrum:
     def test_dimension_cap(self):
         with pytest.raises(CapacityError):
             fem1d.discrete_spectrum(ops_for(1.0, fem1d.SPECTRUM_DIM_CAP + 1))
+
+
+class TestSineTransform:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_matches_sine_sum(self, n):
+        i = np.arange(1, n + 1)
+        D = 2.0 * np.sin(np.outer(i, i) * np.pi / (n + 1))
+        X = np.random.default_rng([9, n]).normal(size=(n, 3))
+        assert np.allclose(fem1d.sine_transform(X), D @ X, rtol=0, atol=1e-12)
+        assert np.array_equal(fem1d.sine_transform(X[:, 1]),
+                              fem1d.sine_transform(X)[:, 1])
+
+    def test_twice_is_scaled_identity(self):
+        x = np.random.default_rng(10).normal(size=31)
+        twice = fem1d.sine_transform(fem1d.sine_transform(x))
+        assert np.allclose(twice, 64.0 * x, rtol=0, atol=1e-12)
 
 
 class TestFractionalPowers:
@@ -236,8 +260,8 @@ class TestFractionalPowers:
         ops = ops_for(1.0, 8)
         spec = fem1d.discrete_spectrum(ops)
         v = np.sin(2 * np.pi * ops.mesh.nodes)
-        direct = np.linalg.solve(fem1d._dense(ops.mass),
-                                 fem1d._dense(ops.stiffness) @ v)
+        direct = np.linalg.solve(full_matrix(ops.mass),
+                                 full_matrix(ops.stiffness) @ v)
         assert np.allclose(fem1d.apply_fractional_Ah(spec, ops, 1.0, v), direct,
                            rtol=1e-10)
 
@@ -245,7 +269,7 @@ class TestFractionalPowers:
         ops = ops_for(1.0, 8)
         spec = fem1d.discrete_spectrum(ops)
         v = np.sin(5.0 * ops.mesh.nodes)
-        via_stiffness = float(v @ fem1d._dense(ops.stiffness) @ v)
+        via_stiffness = float(v @ full_matrix(ops.stiffness) @ v)
         assert fem1d.fractional_seminorm_sq(spec, ops, 1.0, v) == pytest.approx(
             via_stiffness, rel=1e-11)
 

@@ -5,6 +5,7 @@ import pytest
 
 from spdefem import fem1d, smoothing_lab as sl
 from spdefem.errors import AccuracyError, InvalidArgumentError
+from dense_reference import dense_sine_projection, loop_propagator
 
 
 def ops_for(h_exp, L=1.0):
@@ -68,6 +69,31 @@ class TestDiscretePropagator:
         ops = ops_for(3)
         with pytest.raises(InvalidArgumentError):
             sl.discrete_propagator(ops, 0.1, -1, np.zeros(7))
+
+    @pytest.mark.parametrize("spectral", [False, True], ids=["nodal", "spectral"])
+    @pytest.mark.parametrize("steps", [1, 5, 200])
+    @pytest.mark.parametrize("n", [1, 2, 7, 63])
+    def test_matches_step_by_step_solves(self, n, steps, spectral):
+        # K = 256 > n: the projection folds the aliased modes onto the mesh
+        ops = fem1d.assemble_operators(fem1d.build_mesh(1.0, n))
+        rng = np.random.default_rng([12, n])
+        tau = 1e-3
+        if spectral:
+            v = sl.SpectralFunction(L=1.0, coeffs=rng.normal(size=256))
+            x = dense_sine_projection(1.0, n, v.coeffs)
+        else:
+            v = x = rng.normal(size=n)
+        got = sl.discrete_propagator(ops, tau, steps, v)
+        want = loop_propagator(1.0, n, tau, steps, x)
+        assert got.shape == (n,)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(x).max()
+
+    def test_batched_columns(self):
+        ops = ops_for(4)
+        X = np.random.default_rng(13).normal(size=(15, 3))
+        got = sl.discrete_propagator(ops, 0.01, 7, X)
+        for b in range(3):
+            assert np.array_equal(got[:, b], sl.discrete_propagator(ops, 0.01, 7, X[:, b]))
 
 
 class TestSmoothingError:
