@@ -15,12 +15,11 @@ from .errors import (AccuracyError, CapacityError, ConfigError,
                      NumericalBlowupError, SingularMatrixError, SpdefemError)
 from .fem1d import (FemOperators, Mesh1D, TriDiagSym, assemble_mass,
                     assemble_operators, assemble_stiffness, build_mesh,
-                    discrete_spectrum, l2_project_function, lp_norm,
-                    solve_tridiag)
+                    discrete_spectrum, lp_norm, solve_tridiag)
 from .drift import (DriftPolynomial, TamingParams, eval_f, eval_f_tamed,
                     one_sided_constant, taming_inequality_suite,
                     validate_params)
-from .noise import NoiseModel, PathTape, RngStream, make_noise_model, make_path
+from .noise import NoiseModel, RngStream, make_noise_model
 from .scheme import (ObservableRecord, RecordSpec, SchemeConfig, SchemeState,
                      drift_load, make_scheme_config, run, shifted_operator,
                      step)

@@ -178,23 +178,6 @@ def quad_load(mesh, fvals):
     return c_right[:-1] + c_left[1:]
 
 
-def l2_project_function(ops, g):
-    """L2 projection of a callable onto the P1 space (mass solve).
-
-    The load integrals use the module-wide 4-point rule, so for functions
-    outside the FE space the result inherits that rule's accuracy.
-    """
-    xq = element_quad_points(ops.mesh)
-    try:
-        gv = np.asarray(g(xq), dtype=float)
-        if gv.shape != xq.shape:
-            raise ValueError
-    except Exception:
-        gv = np.vectorize(g, otypes=[float])(xq)  # scalar-only callables
-    b = quad_load(ops.mesh, gv)
-    return solve_tridiag(ops.mass, b)
-
-
 def sine_load_matrix(mesh, K):
     """Integrals of interior hats against the orthonormal sine basis.
 

@@ -10,11 +10,12 @@ sample_index) through the counter-based generator in the noise module;
 nothing depends on scheduling.
 """
 
+import contextlib
 import functools
 import math
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 from typing import NamedTuple, Optional
@@ -163,12 +164,39 @@ def _n_blocks(cfg):
 def _draw_chunk(samplers, out):
     """Fill out, a (rows, K, bs) buffer, with the next rows of each sampler's tape.
 
-    Column b holds sampler b. Without samplers (no noise) out is left as
-    it is, so a zeroed buffer stays zero.
+    Column b holds sampler b.
     """
     rows = out.shape[0]
     for col, smp in enumerate(samplers):
         out[:, :, col] = smp.rows(rows)
+
+
+def _tape_chunks(samplers, shape, n_chunks):
+    """Yield the n_chunks consecutive (rows, K, bs) chunks of the samplers' tapes.
+
+    Two buffers take turns: while the caller steps on one chunk, one
+    helper thread draws the next chunk into the other. The Philox draw,
+    the inverse CDF and the column copy release the GIL, so the two
+    overlap; the helper draws every stream in order, so each number is
+    the one a serial draw gives. A yielded chunk stays valid until the
+    next one is requested. Without samplers (no noise) the same zero
+    buffer is yielded every time and no thread starts. Close the
+    generator (contextlib.closing) to join the helper when the caller
+    stops early.
+    """
+    if not samplers:
+        zero = np.zeros(shape)
+        for _ in range(n_chunks):
+            yield zero
+        return
+    bufs = (np.empty(shape), np.empty(shape))
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(_draw_chunk, samplers, bufs[0])
+        for k in range(n_chunks):
+            pending.result()
+            if k + 1 < n_chunks:
+                pending = helper.submit(_draw_chunk, samplers, bufs[(k + 1) % 2])
+            yield bufs[k % 2]
 
 
 def _map_blocks(cfg, fn, n_blocks):
@@ -197,8 +225,10 @@ def _paths_block(cfg, b, legs):
     of noise.chunk_rows fine rows, and every leg on that stream steps
     through each chunk in lockstep on an exact coarsening of it, so all
     resolutions of one sample see the same driving path and no whole tape
-    is ever held. A leg yields its final (n, bs) state, or its
-    ObservableRecord when it records.
+    is ever held. The next chunk is drawn on a helper thread while the
+    legs step the current one (_tape_chunks); the two chunk buffers share
+    the noise.MAX_TAPE_FLOATS budget. A leg yields its final (n, bs)
+    state, or its ObservableRecord when it records.
     """
     model = noise_model_for(cfg)
     K = 1 if model is None else model.K
@@ -217,20 +247,21 @@ def _paths_block(cfg, b, legs):
         on = [i for i, leg in enumerate(legs) if leg.stream == stream]
         m = max(legs[i].res.m for i in on)
         factors = {i: 2 ** (m - legs[i].res.m) for i in on}
-        rows = noise.chunk_rows(2**m, K * bs, max(factors.values()))
+        # a row of both buffers together: 2 K bs floats
+        rows = noise.chunk_rows(2**m, 2 * K * bs, max(factors.values()))
         samplers = [] if model is None else [
             noise.TapeSampler(model, cfg.seed, cfg.T / 2**m,
                               noise.stream_context(stream, sidx))
             for sidx in idx]
-        chunk = np.zeros((rows, K, bs))     # refilled in place for every chunk
-        for start in range(0, 2**m, rows):
-            _draw_chunk(samplers, chunk)
-            for i, factor in factors.items():
-                coeffs = noise.coarsen_coeffs(chunk, factor)
-                if b == 0 and start == 0 and factor > 1:
-                    # re-assert the coupling invariant: children sum to parents
-                    assert np.array_equal(coeffs[0], chunk[:factor].sum(axis=0))
-                steppers[i].advance(coeffs)
+        chunks = _tape_chunks(samplers, (rows, K, bs), 2**m // rows)
+        with contextlib.closing(chunks):
+            for k, chunk in enumerate(chunks):
+                for i, factor in factors.items():
+                    coeffs = noise.coarsen_coeffs(chunk, factor)
+                    if b == 0 and k == 0 and factor > 1:
+                        # re-assert the coupling invariant: children sum to parents
+                        assert np.array_equal(coeffs[0], chunk[:factor].sum(axis=0))
+                    steppers[i].advance(coeffs)
     out = []
     for leg, stepper in zip(legs, steppers):
         state, rec = stepper.finish()

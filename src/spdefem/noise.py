@@ -14,7 +14,7 @@ same bit for bit either way.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -23,7 +23,8 @@ from .errors import CapacityError, InvalidArgumentError
 
 SAMPLER_IDENTITY = "philox4x64-10/inverse-cdf"
 
-# floats of tape held at once: one whole tape, or one chunk of a block's tapes
+# floats of tape held at once: one whole tape, or both chunk buffers of a
+# block's stream (the one being stepped and the one being drawn)
 MAX_TAPE_FLOATS = 2**20
 
 
@@ -82,20 +83,6 @@ def coefficient_scales(model):
     return (j * np.pi / model.L) ** (-model.s)
 
 
-@dataclass(frozen=True)
-class PathTape:
-    """All increments of one driving path at the finest dyadic resolution."""
-
-    master_seed: int
-    level: int
-    tau: float
-    coeffs: np.ndarray = field(repr=False)  # (finest_steps, K)
-
-    @property
-    def finest_steps(self):
-        return self.coeffs.shape[0]
-
-
 class TapeSampler:
     """One sample's tape, drawn a chunk of consecutive fine rows at a time.
 
@@ -137,13 +124,6 @@ def sample_tape_coeffs(model, master_seed, T, finest_steps, context=0):
             f"tape of {steps} x {model.K} coefficients exceeds the memory budget"
         )
     return TapeSampler(model, master_seed, T / steps, context).rows(steps)
-
-
-def make_path(model, master_seed, T, finest_steps, context=0):
-    coeffs = sample_tape_coeffs(model, master_seed, T, finest_steps, context)
-    steps = coeffs.shape[0]
-    return PathTape(master_seed=int(master_seed), level=steps.bit_length() - 1,
-                    tau=T / steps, coeffs=coeffs)
 
 
 def coarsen_coeffs(coeffs, factor):

@@ -24,7 +24,8 @@ from . import fem1d
 from .drift import eval_f_tamed, one_sided_constant, validate_params
 from .errors import InvalidArgumentError, NumericalBlowupError
 from .fem1d import QUAD_R, QUAD_W, TriDiagSym, TriFactor, tridiag_matvec
-from .noise import PathTape, coarsen_coeffs
+# bound here for benchmarks/tracing.py, which wraps scheme.coarsen_coeffs
+from .noise import coarsen_coeffs  # noqa: F401
 
 SOFT_SUP_NORM_CAP = 1e6
 
@@ -175,22 +176,13 @@ class _Recorder:
         )
 
 
-def _normalize_increments(config, tape_or_increments, n_steps):
+def _normalize_increments(config, increments, n_steps):
     """Return the (steps, K[, B]) coefficient array driving the run."""
-    src = tape_or_increments
-    if src is None:
+    if increments is None:
         if n_steps is None:
             raise InvalidArgumentError("zero-noise run needs n_steps")
         return np.zeros((int(n_steps), 1) + np.shape(config.initial)[1:])
-    if isinstance(src, PathTape):
-        ratio = config.tau / src.tau
-        factor = int(round(ratio))
-        if factor < 1 or abs(ratio - factor) > 1e-9 or factor & (factor - 1):
-            raise InvalidArgumentError(
-                f"tape step {src.tau} is not a power-of-two refinement of tau={config.tau}"
-            )
-        return coarsen_coeffs(src.coeffs, factor)
-    arr = np.asarray(src, dtype=float)
+    arr = np.asarray(increments, dtype=float)
     if arr.ndim < 2:
         raise InvalidArgumentError("coefficient array must be (steps, K[, B])")
     return arr
@@ -369,10 +361,11 @@ class Stepper:
 def run(config, tape_or_increments, record_spec=None, n_steps=None):
     """Iterate the scheme over a whole driving path.
 
-    tape_or_increments: PathTape (auto-coarsened to tau), a raw
-    (steps, K[, B]) coefficient array, or None for a zero-noise run of
-    n_steps. Returns the final state and the ObservableRecord (None if no
-    record_spec given). Recording never affects the dynamics.
+    tape_or_increments: a (steps, K[, B]) coefficient array at step tau
+    (noise.coarsen_coeffs brings a finer tape to tau), or None for a
+    zero-noise run of n_steps. Returns the final state and the
+    ObservableRecord (None if no record_spec given). Recording never
+    affects the dynamics.
     """
     coeffs = _normalize_increments(config, tape_or_increments, n_steps)
     batch = coeffs.shape[2] if coeffs.ndim == 3 else None

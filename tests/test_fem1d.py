@@ -129,39 +129,28 @@ class TestTridiagonal:
 
 class TestProjection:
     def test_member_of_space_is_fixed_point(self):
-        # projecting a P1 function returns its own nodal values
+        # the 4-point load of a P1 function, solved with the mass matrix,
+        # returns its own nodal values
         mesh = fem1d.build_mesh(1.0, 9)
         ops = fem1d.assemble_operators(mesh)
         nodal = np.sin(2.5 * mesh.nodes) + mesh.nodes
-
-        def g(x):
-            return np.interp(x, np.concatenate([[0], mesh.nodes, [1.0]]),
-                             np.concatenate([[0], nodal, [0.0]]))
-
-        assert fem1d.l2_project_function(ops, g) == pytest.approx(list(nodal), abs=1e-13)
+        xq = fem1d.element_quad_points(mesh)
+        gq = np.interp(xq, np.concatenate([[0], mesh.nodes, [1.0]]),
+                       np.concatenate([[0], nodal, [0.0]]))
+        got = fem1d.solve_tridiag(ops.mass, fem1d.quad_load(mesh, gq))
+        assert got == pytest.approx(list(nodal), abs=1e-13)
 
     def test_sine_projection_against_dense_loads(self):
+        # sin(pi x) is 1/sqrt(2) times the first orthonormal sine mode
         L, n = 1.0, 3
         ops = ops_for(L, n)
-        got = fem1d.l2_project_function(ops, lambda x: np.sin(np.pi * x))
+        got = fem1d.project_sine_coeffs(ops, [1.0 / np.sqrt(2.0)])
         Md, _ = dense_mass_stiffness(L, n)
         b = dense_sine_loads(L, n, 1)[:, 0] / np.sqrt(2.0)
         # middle load entry, 64-pt quadrature reference
         assert b[1] == pytest.approx(0.23741030088794590869, abs=1e-15)
-        # the projection itself uses the fixed 4-pt rule, exact to ~1e-9 here
-        assert got == pytest.approx(list(np.linalg.solve(Md, b)), rel=2e-8)
-
-    def test_scalar_only_callables_accepted(self):
-        ops = ops_for(1.0, 5)
-
-        def g(x):
-            if hasattr(x, "__len__"):
-                raise TypeError("scalar only")
-            return x * (1 - x)
-
-        v = fem1d.l2_project_function(ops, g)
-        w = fem1d.l2_project_function(ops, lambda x: x * (1 - x))
-        assert np.array_equal(v, w)
+        # closed-form loads: the projection is exact up to round-off
+        assert got == pytest.approx(list(np.linalg.solve(Md, b)), rel=1e-13)
 
     def test_sine_load_matrix_closed_form_entry(self):
         B = fem1d.sine_load_matrix(fem1d.build_mesh(1.0, 3), 2)

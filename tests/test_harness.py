@@ -1,14 +1,16 @@
 """Monte Carlo study drivers: estimators, determinism, reporting."""
 
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from spdefem import cli, harness, noise
+from spdefem import cli, fem1d, harness, noise, scheme
 from spdefem.drift import DriftPolynomial, TamingParams
-from spdefem.errors import InvalidArgumentError
+from spdefem.errors import InvalidArgumentError, NumericalBlowupError
 from spdefem.harness import Resolution, make_study_config
 
 CUBIC = DriftPolynomial(q=2, coeffs=(0.0, 1.0, 0.0, -1.0))
@@ -179,6 +181,127 @@ class TestStreamedTapes:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+
+class _Boom(Exception):
+    pass
+
+
+class ThreadWatch:
+    """The threads started since it was made (through Thread.start)."""
+
+    def __init__(self):
+        self.started = []
+        self.before = threading.active_count()
+
+    def all_ended(self):
+        return (threading.active_count() == self.before
+                and not any(t.is_alive() for t in self.started))
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    watch = ThreadWatch()
+    start = threading.Thread.start
+
+    def counted(thread):
+        watch.started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return watch
+
+
+def strong_legs(cfg):
+    return [harness.Leg(r, 0, None) for r in (*cfg.grid, cfg.reference)]
+
+
+def rows_hook(monkeypatch, on_call):
+    """Wrap TapeSampler.rows so that on_call(count, rows) sees every draw."""
+    calls = []
+    rows = noise.TapeSampler.rows
+
+    def hooked(sampler, n):
+        calls.append(n)
+        return on_call(len(calls), rows(sampler, n))
+
+    monkeypatch.setattr(noise.TapeSampler, "rows", hooked)
+    return calls
+
+
+class TestPrefetchedChunks:
+    def test_matches_whole_tape_runs(self, monkeypatch, threads):
+        # an independent oracle for the buffer order: each leg run whole on
+        # its coarsening of stacked whole tapes, chunking only in _paths_block
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**13)
+        cfg = strong_cfg(samples=8)
+        model = harness.noise_model_for(cfg)
+        steps = 2**cfg.reference.m
+        rows = noise.chunk_rows(steps, 2 * model.K * 8, 2**(cfg.reference.m - 4))
+        assert steps // rows >= 4
+        legs = strong_legs(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # hand the GIL over as often as it can go
+        try:
+            got = harness._paths_block(cfg, 0, legs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads.started) == 1       # one helper for the one stream
+        assert threads.all_ended()
+        tapes = np.stack([noise.sample_tape_coeffs(model, cfg.seed, cfg.T, steps,
+                                                   noise.stream_context(0, i))
+                          for i in range(8)], axis=2)
+        ops = fem1d.assemble_operators(fem1d.build_mesh(cfg.L, 2**3 - 1))
+        for leg, x in zip(legs, got):
+            sc = scheme.make_scheme_config(ops, cfg.drift, cfg.taming,
+                                           cfg.T / 2**leg.res.m, np.zeros(7))
+            want, _ = scheme.run(sc, noise.coarsen_coeffs(tapes, 2**(cfg.reference.m
+                                                                      - leg.res.m)))
+            assert np.array_equal(x, want.x)
+
+    def test_draw_failure_propagates(self, monkeypatch, threads):
+        # one sample per block: the third draw is the third chunk, drawn on
+        # the helper while the legs step the second
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**8)
+
+        def fail_third(count, rows):
+            if count == 3:
+                raise _Boom("third draw")
+            return rows
+
+        calls = rows_hook(monkeypatch, fail_third)
+        # excinfo holds the traceback, so _paths_block's frame stays alive: a
+        # helper joined only when it is collected would still run here
+        with pytest.raises(_Boom) as excinfo:
+            harness._paths_block(strong_cfg(samples=1), 0, strong_legs(strong_cfg()))
+        assert threads.all_ended()
+        assert str(excinfo.value) == "third draw"
+        assert len(calls) == 3
+        assert len(threads.started) == 1
+
+    def test_blowup_in_middle_chunk_propagates(self, monkeypatch, threads):
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**8)
+
+        def nan_third(count, rows):
+            if count == 3:
+                rows[:] = np.nan
+            return rows
+
+        calls = rows_hook(monkeypatch, nan_third)
+        with pytest.raises(NumericalBlowupError) as excinfo:
+            harness._paths_block(strong_cfg(samples=1), 0, strong_legs(strong_cfg()))
+        assert threads.all_ended()
+        # the first leg (32 fine rows a step) blew up on the first step of
+        # chunk 3, while chunk 4 was being drawn
+        assert excinfo.value.step_index == 3
+        assert len(calls) == 4
+        assert len(threads.started) == 1
+
+    def test_zero_noise_starts_no_thread(self, threads):
+        cfg = dataclasses.replace(strong_cfg(samples=8), s=None)
+        states = harness._paths_block(cfg, 0, strong_legs(cfg))
+        assert threads.started == [] and threads.all_ended()
+        assert all(np.array_equal(x, np.zeros((7, 8))) for x in states)
 
 
 class TestWeakStudy:

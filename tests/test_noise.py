@@ -85,37 +85,38 @@ class TestIncrements:
 class TestTapes:
     def test_tape_shape_and_determinism(self):
         m = model(K=5)
-        t1 = noise.make_path(m, 11, 2.0, 16)
-        t2 = noise.make_path(m, 11, 2.0, 16)
-        assert t1.coeffs.shape == (16, 5)
-        assert t1.tau == 0.125
-        assert np.array_equal(t1.coeffs, t2.coeffs)
+        t1 = noise.sample_tape_coeffs(m, 11, 2.0, 16)
+        t2 = noise.sample_tape_coeffs(m, 11, 2.0, 16)
+        assert t1.shape == (16, 5)
+        assert np.array_equal(t1, t2)
+        # rows are increments over tau = T / steps = 0.125
+        raw = noise.RngStream(11, 0).normals(16 * 5).reshape(16, 5)
+        assert np.array_equal(t1, np.sqrt(0.125) * noise.coefficient_scales(m) * raw)
 
     def test_power_of_two_enforced(self):
         with pytest.raises(InvalidArgumentError):
-            noise.make_path(model(), 0, 1.0, 100)
+            noise.sample_tape_coeffs(model(), 0, 1.0, 100)
 
     def test_capacity_guard(self):
         m = model(K=1024)
         with pytest.raises(CapacityError):
-            noise.make_path(m, 0, 1.0, 2**17)
+            noise.sample_tape_coeffs(m, 0, 1.0, 2**17)
 
     def test_coarsen_children_sum_to_parents(self):
-        tape = noise.make_path(model(K=3), 5, 1.0, 32)
+        tape = noise.sample_tape_coeffs(model(K=3), 5, 1.0, 32)
         for factor in (1, 2, 4, 8, 32):
-            coarse = noise.coarsen_coeffs(tape.coeffs, factor)
+            coarse = noise.coarsen_coeffs(tape, factor)
             assert coarse.shape == (32 // factor, 3)
-            assert np.array_equal(coarse,
-                                  tape.coeffs.reshape(-1, factor, 3).sum(axis=1))
+            assert np.array_equal(coarse, tape.reshape(-1, factor, 3).sum(axis=1))
 
     def test_coarsen_rejects_bad_factors(self):
-        tape = noise.make_path(model(K=2), 5, 1.0, 16)
+        tape = noise.sample_tape_coeffs(model(K=2), 5, 1.0, 16)
         with pytest.raises(InvalidArgumentError):
-            noise.coarsen_coeffs(tape.coeffs, 3)
+            noise.coarsen_coeffs(tape, 3)
         with pytest.raises(InvalidArgumentError):
-            noise.coarsen_coeffs(tape.coeffs, 32)
+            noise.coarsen_coeffs(tape, 32)
         with pytest.raises(InvalidArgumentError):
-            noise.coarsen_coeffs(tape.coeffs, 0)
+            noise.coarsen_coeffs(tape, 0)
 
     def test_tape_layout_row_major_in_time(self):
         # first K draws of the stream fill step 0, the next K fill step 1
@@ -133,8 +134,8 @@ class TestTapes:
         stacked = np.stack(singles, axis=2)
         samplers = [noise.TapeSampler(m, 4, 1.0 / 8, noise.stream_context(0, i))
                     for i in range(5)]
-        # one buffer refilled in place, as the block driver does, so each
-        # chunk is copied out before the next fill
+        # one buffer refilled in place, as each of _paths_block's two
+        # buffers is, so each chunk is copied out before the next fill
         buf = np.zeros((5, 3, 5))
         chunks = []
         for rows in (3, 5):
@@ -158,6 +159,9 @@ class TestChunkedTapes:
     def test_chunk_rows_policy(self):
         # 2**20 floats of a 63-mode, 64-sample block: 256 rows of 4032 floats
         assert noise.chunk_rows(4096, 63 * 64, 128) == 256
+        # _paths_block's two buffers share the budget: at the shape of
+        # a 2**12-step tape coarsened to 2**5, each buffer holds 128 rows
+        assert noise.chunk_rows(4096, 2 * 63 * 64, 128) == 128
         # never fewer rows than the largest coarsening factor
         assert noise.chunk_rows(4096, 63 * 64, 1024) == 1024
         # never more rows than the tape has

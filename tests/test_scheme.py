@@ -201,19 +201,19 @@ class TestDrivingPathForms:
     def model(self):
         return noise.make_noise_model(0.5005, 4, 1.0)
 
-    def test_tape_autocoarsens(self):
+    def test_coarsened_chunks_match_coarsened_tape(self):
+        # _paths_block's coupling: coarsening a fine tape chunk by chunk
+        # drives a run exactly as coarsening it whole does
         m = self.model()
         cfg = config_for(3, 1.0 / 8)
-        fine = noise.make_path(m, 5, 1.0, 64)     # 8x finer than tau
-        s1, _ = scheme.run(cfg, fine)
-        s2, _ = scheme.run(cfg, noise.coarsen_coeffs(fine.coeffs, 8))
-        assert np.array_equal(s1.x, s2.x)
-
-    def test_tape_coarser_than_tau_rejected(self):
-        m = self.model()
-        cfg = config_for(3, 1.0 / 32)
-        with pytest.raises(InvalidArgumentError):
-            scheme.run(cfg, noise.make_path(m, 5, 1.0, 16))
+        fine = noise.sample_tape_coeffs(m, 5, 1.0, 64)     # 8x finer than tau
+        whole, _ = scheme.run(cfg, noise.coarsen_coeffs(fine, 8))
+        stepper = scheme.Stepper(cfg, 4)
+        for lo in range(0, 64, 16):
+            stepper.advance(noise.coarsen_coeffs(fine[lo:lo + 16], 8))
+        chunked, _ = stepper.finish()
+        assert chunked.m == 8
+        assert np.array_equal(chunked.x, whole.x)
 
     def test_batched_matches_sample_loop(self):
         m = self.model()
@@ -232,7 +232,7 @@ class TestRecording:
     def test_stride_subsamples_without_perturbing(self):
         m = noise.make_noise_model(0.5005, 4, 1.0)
         cfg = config_for(3, 1.0 / 16)
-        tape = noise.make_path(m, 5, 1.0, 16)
+        tape = noise.sample_tape_coeffs(m, 5, 1.0, 16)
         s1, r1 = scheme.run(cfg, tape, scheme.RecordSpec(stride=1))
         s4, r4 = scheme.run(cfg, tape, scheme.RecordSpec(stride=4))
         assert np.array_equal(s1.x, s4.x)
@@ -260,7 +260,7 @@ class TestRecording:
     def test_recorded_quantities_match_manual(self):
         m = noise.make_noise_model(0.5005, 4, 1.0)
         cfg = config_for(4, 1.0 / 8)
-        tape = noise.make_path(m, 6, 1.0, 8)
+        tape = noise.sample_tape_coeffs(m, 6, 1.0, 8)
         spec = scheme.RecordSpec(norms=True, gamma=1.0,
                                  phi=lambda x, l2sq: np.sin(np.pi / 4 - l2sq))
         state, rec = scheme.run(cfg, tape, spec)
