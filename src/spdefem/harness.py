@@ -161,42 +161,48 @@ def _n_blocks(cfg):
     return (cfg.samples + BLOCK - 1) // BLOCK
 
 
-def _draw_chunk(samplers, out):
-    """Fill out, a (rows, K, bs) buffer, with the next rows of each sampler's tape.
+def _fill_loads(sampler, tape, loaders, check_coupling, k, out):
+    """Assemble chunk k's noise loads into out, a load set.
 
-    Column b holds sampler b.
+    Draws the chunk into tape, coarsens it once per distinct factor, and
+    fills out[(h_exp, factor)] through loaders[(h_exp, factor)], a stepper
+    on that mesh.
     """
-    rows = out.shape[0]
-    for col, smp in enumerate(samplers):
-        out[:, :, col] = smp.rows(rows)
+    sampler.fill(tape)
+    coarse = {f: noise.coarsen_coeffs(tape, f)
+              for f in dict.fromkeys(f for _, f in loaders)}
+    if check_coupling and k == 0:
+        # re-assert the coupling invariant: children sum to parents
+        for f, c in coarse.items():
+            assert np.array_equal(c[0], tape[:f].sum(axis=0))
+    for key, stepper in loaders.items():
+        stepper.noise_loads(coarse[key[1]], out=out[key])
 
 
-def _tape_chunks(samplers, shape, n_chunks):
-    """Yield the n_chunks consecutive (rows, K, bs) chunks of the samplers' tapes.
+def _load_chunks(fill, sets, n_chunks):
+    """Yield a stream's n_chunks consecutive load sets.
 
-    Two buffers take turns: while the caller steps on one chunk, one
-    helper thread draws the next chunk into the other. The Philox draw,
-    the inverse CDF and the column copy release the GIL, so the two
-    overlap; the helper draws every stream in order, so each number is
-    the one a serial draw gives. A yielded chunk stays valid until the
-    next one is requested. Without samplers (no noise) the same zero
-    buffer is yielded every time and no thread starts. Close the
-    generator (contextlib.closing) to join the helper when the caller
-    stops early.
+    With fill, the two load sets in sets take turns: while the caller
+    steps on one, one helper thread runs fill(k + 1, other) to draw,
+    coarsen and assemble the next chunk. The Philox draw, the inverse
+    CDF, the sums and the products release the GIL, so the two overlap;
+    the helper draws every stream in order, so each number is the one a
+    serial run gives. A yielded set stays valid until the next one is
+    requested. Without fill (no noise) sets holds one set of zeros,
+    yielded every time, and no thread starts. Close the generator
+    (contextlib.closing) to join the helper when the caller stops early.
     """
-    if not samplers:
-        zero = np.zeros(shape)
+    if fill is None:
         for _ in range(n_chunks):
-            yield zero
+            yield sets[0]
         return
-    bufs = (np.empty(shape), np.empty(shape))
     with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(_draw_chunk, samplers, bufs[0])
+        pending = helper.submit(fill, 0, sets[0])
         for k in range(n_chunks):
             pending.result()
             if k + 1 < n_chunks:
-                pending = helper.submit(_draw_chunk, samplers, bufs[(k + 1) % 2])
-            yield bufs[k % 2]
+                pending = helper.submit(fill, k + 1, sets[(k + 1) % 2])
+            yield sets[k % 2]
 
 
 def _map_blocks(cfg, fn, n_blocks):
@@ -225,10 +231,13 @@ def _paths_block(cfg, b, legs):
     of noise.chunk_rows fine rows, and every leg on that stream steps
     through each chunk in lockstep on an exact coarsening of it, so all
     resolutions of one sample see the same driving path and no whole tape
-    is ever held. The next chunk is drawn on a helper thread while the
-    legs step the current one (_tape_chunks); the two chunk buffers share
-    the noise.MAX_TAPE_FLOATS budget. A leg yields its final (n, bs)
-    state, or its ObservableRecord when it records.
+    is ever held. A helper thread turns the next chunk into noise loads
+    while the legs step the current one (_load_chunks): it draws the
+    chunk, coarsens it once per distinct factor and assembles one load
+    set per distinct (mesh, factor), which every leg of that shape steps
+    on. The tape buffer and both load sets share the
+    noise.MAX_TAPE_FLOATS budget. A leg yields its final (n, bs) state,
+    or its ObservableRecord when it records.
     """
     model = noise_model_for(cfg)
     K = 1 if model is None else model.K
@@ -244,24 +253,31 @@ def _paths_block(cfg, b, legs):
                                        _initial_vector(cfg, o, leg.modes))
         steppers.append(scheme.Stepper(sc, K, bs, leg.record))
     for stream in dict.fromkeys(leg.stream for leg in legs):
-        on = [i for i, leg in enumerate(legs) if leg.stream == stream]
-        m = max(legs[i].res.m for i in on)
-        factors = {i: 2 ** (m - legs[i].res.m) for i in on}
-        # a row of both buffers together: 2 K bs floats
-        rows = noise.chunk_rows(2**m, 2 * K * bs, max(factors.values()))
-        samplers = [] if model is None else [
-            noise.TapeSampler(model, cfg.seed, cfg.T / 2**m,
-                              noise.stream_context(stream, sidx))
-            for sidx in idx]
-        chunks = _tape_chunks(samplers, (rows, K, bs), 2**m // rows)
+        m = max(leg.res.m for leg in legs if leg.stream == stream)
+        # leg i steps on the load set of its (mesh, coarsening factor)
+        keys = {i: (leg.res.h_exp, 2 ** (m - leg.res.m))
+                for i, leg in enumerate(legs) if leg.stream == stream}
+        loaders = {key: steppers[i] for i, key in keys.items()}
+        # a fine row of the tape buffer and of both load sets together
+        row_floats = K * bs + 2 * sum((2**h - 1) * bs / f for h, f in loaders)
+        rows = noise.chunk_rows(2**m, row_floats, max(f for _, f in loaders))
+        shapes = {(h, f): (rows // f, 2**h - 1, bs) for h, f in loaders}
+        if model is None:
+            fill = None
+            sets = [{key: np.broadcast_to(0.0, shape) for key, shape in shapes.items()}]
+        else:
+            sampler = noise.BlockSampler(
+                model, cfg.seed, cfg.T / 2**m,
+                [noise.stream_context(stream, sidx) for sidx in idx])
+            fill = functools.partial(_fill_loads, sampler, np.empty((rows, K, bs)),
+                                     loaders, b == 0)
+            sets = [{key: np.empty(shape) for key, shape in shapes.items()}
+                    for _ in range(2)]
+        chunks = _load_chunks(fill, sets, 2**m // rows)
         with contextlib.closing(chunks):
-            for k, chunk in enumerate(chunks):
-                for i, factor in factors.items():
-                    coeffs = noise.coarsen_coeffs(chunk, factor)
-                    if b == 0 and k == 0 and factor > 1:
-                        # re-assert the coupling invariant: children sum to parents
-                        assert np.array_equal(coeffs[0], chunk[:factor].sum(axis=0))
-                    steppers[i].advance(coeffs)
+            for loads in chunks:
+                for i, key in keys.items():
+                    steppers[i].step_loads(loads[key])
     out = []
     for leg, stepper in zip(legs, steppers):
         state, rec = stepper.finish()

@@ -8,9 +8,9 @@ Randomness is counter based: a Philox generator keyed by
 (master_seed, context) feeds an inverse-CDF transform, so any draw is a
 pure function of the key and its position in the stream. Tapes sampled
 at the finest dyadic resolution can be coarsened by exact summation,
-which is what couples resolutions in strong-error studies. A tape may be
-drawn whole or a chunk of rows at a time (TapeSampler); the rows are the
-same bit for bit either way.
+which is what couples resolutions in strong-error studies. A block's
+tapes may be drawn whole or a chunk of rows at a time (BlockSampler); the
+rows are the same bit for bit either way.
 """
 
 import math
@@ -23,8 +23,8 @@ from .errors import CapacityError, InvalidArgumentError
 
 SAMPLER_IDENTITY = "philox4x64-10/inverse-cdf"
 
-# floats of tape held at once: one whole tape, or both chunk buffers of a
-# block's stream (the one being stepped and the one being drawn)
+# floats held at once for a block's stream: one whole tape, or the chunk
+# buffer and both noise load sets (the one being stepped, the one being filled)
 MAX_TAPE_FLOATS = 2**20
 
 
@@ -35,6 +35,24 @@ def stream_context(stream_id, sample_index):
     return (int(stream_id) << 32) | int(sample_index)
 
 
+def _philox(master_seed, context):
+    return np.random.Philox(key=np.array([int(master_seed), int(context)],
+                                         dtype=np.uint64))
+
+
+def _shift_raw(bitgen, out):
+    """Fill out (float64) with the top 53 bits of the next out.size raw words."""
+    raw = bitgen.random_raw(out.size).reshape(out.shape)
+    return np.right_shift(raw, 11, out=out, casting="unsafe")
+
+
+def _inverse_cdf(u53):
+    """53-bit integers held as floats -> standard normals, in place."""
+    u53 += 0.5
+    u53 *= 2.0**-53
+    return ndtri(u53, out=u53)
+
+
 class RngStream:
     """Deterministic normal stream: Philox counter + inverse CDF.
 
@@ -43,12 +61,10 @@ class RngStream:
     """
 
     def __init__(self, master_seed, context=0):
-        key = np.array([int(master_seed), int(context)], dtype=np.uint64)
-        self._bitgen = np.random.Philox(key=key)
+        self._bitgen = _philox(master_seed, context)
 
     def normals(self, n):
-        raw = self._bitgen.random_raw(int(n)) >> np.uint64(11)
-        return ndtri((raw.astype(np.float64) + 0.5) * 2.0**-53)
+        return _inverse_cdf(_shift_raw(self._bitgen, np.empty(int(n))))
 
 
 @dataclass(frozen=True)
@@ -83,21 +99,28 @@ def coefficient_scales(model):
     return (j * np.pi / model.L) ** (-model.s)
 
 
-class TapeSampler:
-    """One sample's tape, drawn a chunk of consecutive fine rows at a time.
+class BlockSampler:
+    """The tapes of a block's samples, one Philox stream each, drawn a chunk at a time.
 
-    The Philox stream is consumed in order and each row is scaled on its
-    own, so the chunks concatenate to the whole tape bit for bit.
+    fill(out) writes the next rows of stream b into column b of a
+    (rows, K, B) chunk: one raw draw and one shift per stream, then the
+    inverse CDF and the per-mode scale once over the whole chunk. These
+    are the elementwise operations of RngStream.normals followed by the
+    scale, and each stream is consumed in order, so consecutive chunks
+    concatenate to the whole tapes bit for bit.
     """
 
-    def __init__(self, model, master_seed, tau, context=0):
-        self._rng = RngStream(master_seed, context)
-        self._scales = np.sqrt(tau) * coefficient_scales(model)
+    def __init__(self, model, master_seed, tau, contexts):
+        self._bitgens = [_philox(master_seed, ctx) for ctx in contexts]
+        self._scales = (np.sqrt(tau) * coefficient_scales(model))[:, None]
 
-    def rows(self, n):
-        """The next n rows of the tape, shape (n, K)."""
-        K = self._scales.size
-        return self._scales * self._rng.normals(n * K).reshape(n, K)
+    def fill(self, out):
+        """Overwrite out, shape (rows, K, B), with the next rows; returns out."""
+        for col, bitgen in enumerate(self._bitgens):
+            _shift_raw(bitgen, out[:, :, col])
+        _inverse_cdf(out)
+        out *= self._scales
+        return out
 
 
 def chunk_rows(steps, row_floats, min_rows):
@@ -106,8 +129,9 @@ def chunk_rows(steps, row_floats, min_rows):
     The largest power of two that keeps a chunk within MAX_TAPE_FLOATS, but
     never fewer than min_rows (the largest coarsening factor, so every
     coarse step sees whole groups) and never more than the tape's steps.
+    row_floats need not be whole.
     """
-    fit = MAX_TAPE_FLOATS // row_floats
+    fit = int(MAX_TAPE_FLOATS // row_floats)
     rows = 1 << (fit.bit_length() - 1) if fit else 1
     return min(steps, max(min_rows, rows))
 
@@ -123,7 +147,8 @@ def sample_tape_coeffs(model, master_seed, T, finest_steps, context=0):
         raise CapacityError(
             f"tape of {steps} x {model.K} coefficients exceeds the memory budget"
         )
-    return TapeSampler(model, master_seed, T / steps, context).rows(steps)
+    tape = np.empty((steps, model.K, 1))
+    return BlockSampler(model, master_seed, T / steps, [context]).fill(tape)[:, :, 0]
 
 
 def coarsen_coeffs(coeffs, factor):

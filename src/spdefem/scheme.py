@@ -209,7 +209,7 @@ def _tame_general(u, c, alpha, expo):
 
 
 class _Work:
-    """Work arrays for the steps of one advance() call, at one batch width.
+    """Work arrays for the steps of one step_loads() call, at one batch width.
 
     They live for one call, not for the whole run: a block holds one
     stepper per leg, but only one of them advances at a time.
@@ -229,16 +229,18 @@ class Stepper:
 
     advance() takes the next (steps, K[, B]) rows of the path; advancing
     chunk after chunk gives bit for bit the state and record of advancing
-    once over the whole path. batch replicates a 1-D initial state into
-    B columns; start (a SchemeState) begins the run at that state and
-    step instead of the config's initial state at step 0. Recording never
-    affects the dynamics.
+    once over the whole path. advance() is noise_loads() then
+    step_loads(), and the two may run apart: the block driver assembles
+    the loads on a helper thread. batch replicates a 1-D initial state
+    into B columns; start (a SchemeState) begins the run at that state
+    and step instead of the config's initial state at step 0. Recording
+    never affects the dynamics.
 
-    Each advance() allocates its work arrays once and runs every step in
-    them: the tamed drift is interpolated, evaluated, tamed and assembled
-    in place on quad-major (4, n+1, B) arrays, and the shifted system is
-    solved by the cached tridiagonal factorization (whose result is the
-    one array a step allocates).
+    Each step_loads() allocates its work arrays once and runs every step
+    in them: the tamed drift is interpolated, evaluated, tamed and
+    assembled in place on quad-major (4, n+1, B) arrays, and the shifted
+    system is solved by the cached tridiagonal factorization (whose
+    result is the one array a step allocates).
     """
 
     def __init__(self, config, K, batch=None, record_spec=None, start=None):
@@ -311,13 +313,14 @@ class Stepper:
         w.pad[1:-1] = np.reshape(x, self._x.shape)
         return self._drift_from_pad(w).reshape(np.shape(x))
 
-    def _step(self, w):
-        # w.rhs holds the noise load on entry
+    def _step(self, w, load):
+        # load (n, B) is only read: one load set may drive several legs
         config, x, pad, rhs, tmp = self.config, self._x, w.pad, w.rhs, w.tmp
         pad[1:-1] = x
         main, lo, hi = self._mass
-        np.multiply(x, main, out=tmp)
-        rhs += tmp
+        # M x first and the load added to it: addition commutes bit for bit
+        np.multiply(x, main, out=rhs)
+        rhs += load
         np.multiply(pad[:-2], lo, out=tmp)
         rhs += tmp
         np.multiply(pad[2:], hi, out=tmp)
@@ -341,16 +344,27 @@ class Stepper:
 
     def step(self, load):
         """One step of the scheme with the assembled noise load, (n,) or (n, B)."""
+        self._step(self._work(), np.reshape(load, (len(load), -1)))
+
+    def noise_loads(self, coeffs, out=None):
+        """The noise loads of (steps, K) or (steps, K, B) path rows, as (steps, n, B).
+
+        One stacked product with the sine load matrix, written into out when
+        given. It reads nothing the steps change, so another thread may
+        assemble the next chunk's loads while this stepper steps.
+        """
+        coeffs = np.reshape(coeffs, (*np.shape(coeffs)[:2], -1))
+        return np.matmul(self._loadmat, coeffs, out=out)
+
+    def step_loads(self, loads):
+        """Step once per assembled (n, B) load of loads, shape (steps, n, B)."""
         w = self._work()
-        w.rhs[...] = np.reshape(load, (len(load), -1))
-        self._step(w)
+        for load in loads:
+            self._step(w, load)
 
     def advance(self, coeffs):
         """Step once per row of the next (steps, K) or (steps, K, B) rows of the path."""
-        w = self._work()
-        for row in coeffs:
-            np.matmul(self._loadmat, row.reshape(row.shape[0], -1), out=w.rhs)
-            self._step(w)
+        self.step_loads(self.noise_loads(coeffs))
 
     def finish(self):
         """The final state and the ObservableRecord (None without a record_spec)."""

@@ -216,60 +216,113 @@ def strong_legs(cfg):
     return [harness.Leg(r, 0, None) for r in (*cfg.grid, cfg.reference)]
 
 
-def rows_hook(monkeypatch, on_call):
-    """Wrap TapeSampler.rows so that on_call(count, rows) sees every draw."""
+def fill_hook(monkeypatch, on_call):
+    """Wrap BlockSampler.fill so that on_call(count, out) sees every filled chunk."""
     calls = []
-    rows = noise.TapeSampler.rows
+    fill = noise.BlockSampler.fill
 
-    def hooked(sampler, n):
-        calls.append(n)
-        return on_call(len(calls), rows(sampler, n))
+    def hooked(sampler, out):
+        calls.append(out.shape[0])
+        return on_call(len(calls), fill(sampler, out))
 
-    monkeypatch.setattr(noise.TapeSampler, "rows", hooked)
+    monkeypatch.setattr(noise.BlockSampler, "fill", hooked)
     return calls
+
+
+def loads_hook(monkeypatch, on_call):
+    """Wrap Stepper.noise_loads so that on_call(count) runs before every call.
+
+    Returns the list of the calling threads.
+    """
+    calls = []
+    noise_loads = scheme.Stepper.noise_loads
+
+    def hooked(stepper, coeffs, out=None):
+        calls.append(threading.current_thread())
+        on_call(len(calls))
+        return noise_loads(stepper, coeffs, out)
+
+    monkeypatch.setattr(scheme.Stepper, "noise_loads", hooked)
+    return calls
+
+
+def assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads):
+    """_paths_block on stream 0 against each leg run whole on its coarsening
+    of stacked whole tapes: an independent oracle for the load set order.
+
+    Chunking happens only in _paths_block, at a budget of 4 or more chunks.
+    Returns the rows of every chunk filled.
+    """
+    monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**13)
+    fills = fill_hook(monkeypatch, lambda count, out: out)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # hand the GIL over as often as it can go
+    try:
+        got = harness._paths_block(cfg, 0, legs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(fills) >= 4
+    assert len(threads.started) == 1       # one helper for the one stream
+    assert threads.all_ended()
+    fills = list(fills)
+    model = harness.noise_model_for(cfg)
+    m = max(leg.res.m for leg in legs)
+    tapes = np.stack([noise.sample_tape_coeffs(model, cfg.seed, cfg.T, 2**m,
+                                               noise.stream_context(0, i))
+                      for i in harness._block_range(cfg, 0)], axis=2)
+    for leg, result in zip(legs, got):
+        ops = fem1d.assemble_operators(harness._mesh_for(cfg, leg.res))
+        sc = scheme.make_scheme_config(ops, cfg.drift, cfg.taming,
+                                       cfg.T / 2**leg.res.m,
+                                       harness._initial_vector(cfg, ops, leg.modes))
+        want, rec = scheme.run(sc, noise.coarsen_coeffs(tapes, 2**(m - leg.res.m)),
+                               leg.record)
+        if leg.record is None:
+            assert np.array_equal(result, want.x)
+        else:
+            assert np.array_equal(result.times, rec.times)
+            assert np.array_equal(result.phi, rec.phi)
+    return fills
 
 
 class TestPrefetchedChunks:
     def test_matches_whole_tape_runs(self, monkeypatch, threads):
-        # an independent oracle for the buffer order: each leg run whole on
-        # its coarsening of stacked whole tapes, chunking only in _paths_block
-        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**13)
+        # the strong ladder's shape: one mesh, a load set per coarsening factor
         cfg = strong_cfg(samples=8)
-        model = harness.noise_model_for(cfg)
-        steps = 2**cfg.reference.m
-        rows = noise.chunk_rows(steps, 2 * model.K * 8, 2**(cfg.reference.m - 4))
-        assert steps // rows >= 4
-        legs = strong_legs(cfg)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)     # hand the GIL over as often as it can go
-        try:
-            got = harness._paths_block(cfg, 0, legs)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(threads.started) == 1       # one helper for the one stream
-        assert threads.all_ended()
-        tapes = np.stack([noise.sample_tape_coeffs(model, cfg.seed, cfg.T, steps,
-                                                   noise.stream_context(0, i))
-                          for i in range(8)], axis=2)
-        ops = fem1d.assemble_operators(fem1d.build_mesh(cfg.L, 2**3 - 1))
-        for leg, x in zip(legs, got):
-            sc = scheme.make_scheme_config(ops, cfg.drift, cfg.taming,
-                                           cfg.T / 2**leg.res.m, np.zeros(7))
-            want, _ = scheme.run(sc, noise.coarsen_coeffs(tapes, 2**(cfg.reference.m
-                                                                      - leg.res.m)))
-            assert np.array_equal(x, want.x)
+        assert_matches_whole_tape_runs(cfg, strong_legs(cfg), monkeypatch, threads)
+
+    def test_meshes_at_one_m_match_whole_tape_runs(self, monkeypatch, threads):
+        # the strong rate in space: a load set per mesh, all at factor 1
+        cfg = dataclasses.replace(
+            strong_cfg(samples=8),
+            grid=(Resolution(5, 2), Resolution(5, 3), Resolution(5, 4)),
+            reference=Resolution(5, 5))
+        assert_matches_whole_tape_runs(cfg, strong_legs(cfg), monkeypatch, threads)
+
+    def test_shared_load_set_matches_whole_tape_runs(self, monkeypatch, threads):
+        # the equilibration: three starts on one mesh and factor share one load
+        # set, so the helper assembles it with one noise_loads call per chunk
+        cfg = dataclasses.replace(equilibrate_cfg(), samples=8)
+        spec = scheme.RecordSpec(stride=cfg.stride, norms=False,
+                                 phi=harness.OBSERVABLES[cfg.observable])
+        legs = [harness.Leg(cfg.grid[0], 0, modes, spec) for modes in cfg.initials]
+        calls = loads_hook(monkeypatch, lambda count: None)
+        fills = assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads)
+        on_helper = [t for t in calls if t is not threading.main_thread()]
+        # the oracle's own scheme.run calls assemble on the main thread
+        assert len(on_helper) == len(fills) == len(calls) - len(legs)
 
     def test_draw_failure_propagates(self, monkeypatch, threads):
-        # one sample per block: the third draw is the third chunk, drawn on
-        # the helper while the legs step the second
+        # the third fill is the third chunk, drawn on the helper while the
+        # legs step the second
         monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**8)
 
-        def fail_third(count, rows):
+        def fail_third(count, out):
             if count == 3:
                 raise _Boom("third draw")
-            return rows
+            return out
 
-        calls = rows_hook(monkeypatch, fail_third)
+        calls = fill_hook(monkeypatch, fail_third)
         # excinfo holds the traceback, so _paths_block's frame stays alive: a
         # helper joined only when it is collected would still run here
         with pytest.raises(_Boom) as excinfo:
@@ -279,20 +332,40 @@ class TestPrefetchedChunks:
         assert len(calls) == 3
         assert len(threads.started) == 1
 
+    def test_load_failure_propagates(self, monkeypatch, threads):
+        # four load sets per chunk (factors 32, 16, 8 and 1): the sixth
+        # product belongs to the second chunk, assembled while the legs
+        # step the first
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**8)
+
+        def fail_sixth(count):
+            if count == 6:
+                raise _Boom("sixth load")
+
+        calls = loads_hook(monkeypatch, fail_sixth)
+        fills = fill_hook(monkeypatch, lambda count, out: out)
+        with pytest.raises(_Boom) as excinfo:
+            harness._paths_block(strong_cfg(samples=1), 0, strong_legs(strong_cfg()))
+        assert threads.all_ended()
+        assert str(excinfo.value) == "sixth load"
+        assert len(calls) == 6 and len(fills) == 2
+        assert all(t is not threading.main_thread() for t in calls)
+        assert len(threads.started) == 1
+
     def test_blowup_in_middle_chunk_propagates(self, monkeypatch, threads):
         monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**8)
 
-        def nan_third(count, rows):
+        def nan_third(count, out):
             if count == 3:
-                rows[:] = np.nan
-            return rows
+                out[:] = np.nan
+            return out
 
-        calls = rows_hook(monkeypatch, nan_third)
+        calls = fill_hook(monkeypatch, nan_third)
         with pytest.raises(NumericalBlowupError) as excinfo:
             harness._paths_block(strong_cfg(samples=1), 0, strong_legs(strong_cfg()))
         assert threads.all_ended()
         # the first leg (32 fine rows a step) blew up on the first step of
-        # chunk 3, while chunk 4 was being drawn
+        # chunk 3, while chunk 4 was being filled
         assert excinfo.value.step_index == 3
         assert len(calls) == 4
         assert len(threads.started) == 1

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from spdefem import noise
+from spdefem import harness, noise
 from spdefem.errors import CapacityError, InvalidArgumentError
 
 
@@ -126,22 +127,28 @@ class TestTapes:
         assert np.array_equal(tape, raw)   # scale 1, tau 1 for this setup
 
     def test_batched_block_layout_matches_singles(self):
-        from spdefem.harness import _draw_chunk
         m = model(K=3)
         singles = [noise.sample_tape_coeffs(m, 4, 1.0, 8,
                                             noise.stream_context(0, i))
                    for i in range(5)]
         stacked = np.stack(singles, axis=2)
-        samplers = [noise.TapeSampler(m, 4, 1.0 / 8, noise.stream_context(0, i))
-                    for i in range(5)]
-        # one buffer refilled in place, as each of _paths_block's two
-        # buffers is, so each chunk is copied out before the next fill
+        sampler = noise.BlockSampler(m, 4, 1.0 / 8,
+                                     [noise.stream_context(0, i) for i in range(5)])
+        # one buffer refilled in place, as _paths_block's tape buffer is,
+        # so each chunk is copied out before the next fill
         buf = np.zeros((5, 3, 5))
         chunks = []
         for rows in (3, 5):
-            _draw_chunk(samplers, buf[:rows])
+            sampler.fill(buf[:rows])
             chunks.append(buf[:rows].copy())
         assert np.array_equal(np.concatenate(chunks), stacked)
+
+
+def philox_tape(m, seed, tau, steps, ctx):
+    """One stream's tape from the raw Philox words, written out step by step."""
+    raw = np.random.Philox(key=[seed, ctx]).random_raw(steps * m.K)
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return (np.sqrt(tau) * noise.coefficient_scales(m)) * ndtri(u).reshape(steps, m.K)
 
 
 class TestChunkedTapes:
@@ -149,22 +156,55 @@ class TestChunkedTapes:
     def test_chunks_concatenate_to_whole_tape(self, rows):
         # with K = 3, chunks of 1 or 3 rows end inside Philox's 4-word buffer
         m = model(K=3)
-        ctx = noise.stream_context(1, 5)
-        whole = noise.sample_tape_coeffs(m, 17, 2.0, 32, ctx)
-        sampler = noise.TapeSampler(m, 17, 2.0 / 32, ctx)
-        sizes = [rows] * (32 // rows) + ([32 % rows] if 32 % rows else [])
-        chunks = np.concatenate([sampler.rows(r) for r in sizes])
-        assert np.array_equal(chunks, whole)
+        for B in (1, 3):
+            ctxs = [noise.stream_context(1, 5 + i) for i in range(B)]
+            want = np.stack([philox_tape(m, 17, 2.0 / 32, 32, c) for c in ctxs], axis=2)
+            sampler = noise.BlockSampler(m, 17, 2.0 / 32, ctxs)
+            sizes = [rows] * (32 // rows) + ([32 % rows] if 32 % rows else [])
+            got = np.concatenate([sampler.fill(np.empty((r, 3, B))) for r in sizes])
+            assert np.array_equal(got, want)
+        assert np.array_equal(noise.sample_tape_coeffs(m, 17, 2.0, 32, ctxs[0]),
+                              want[:, :, 0])
 
-    def test_chunk_rows_policy(self):
+    def test_chunk_rows_policy(self, monkeypatch):
         # 2**20 floats of a 63-mode, 64-sample block: 256 rows of 4032 floats
         assert noise.chunk_rows(4096, 63 * 64, 128) == 256
-        # _paths_block's two buffers share the budget: at the shape of
-        # a 2**12-step tape coarsened to 2**5, each buffer holds 128 rows
-        assert noise.chunk_rows(4096, 2 * 63 * 64, 128) == 128
         # never fewer rows than the largest coarsening factor
         assert noise.chunk_rows(4096, 63 * 64, 1024) == 1024
         # never more rows than the tape has
         assert noise.chunk_rows(64, 10, 1) == 64
         # a row larger than the budget still gets a chunk of one row
         assert noise.chunk_rows(8, 2**21, 1) == 1
+        # _paths_block's budget holds the tape buffer and both load sets
+        assert block_chunk_rows(monkeypatch, [(8, h) for h in range(5, 10)]) == 4
+        assert block_chunk_rows(monkeypatch, [(m, 6) for m in (6, 7, 8, 9, 12)]) == 64
+        # the largest factor, 128, forces the group size
+        assert block_chunk_rows(monkeypatch, [(m, 6) for m in (5, 6, 7, 8, 12)]) == 128
+
+
+class _Sized(Exception):
+    pass
+
+
+def block_chunk_rows(monkeypatch, resolutions):
+    """Rows per chunk of a 64-sample block whose legs share stream 0.
+
+    The resolutions are (m, h_exp), the last one the reference; K is the
+    finest mesh's n. The block stops once the rows are chosen.
+    """
+    picked = []
+    chosen = noise.chunk_rows
+
+    def spy(*args):
+        picked.append(chosen(*args))
+        raise _Sized
+
+    grid = tuple(harness.Resolution(m, h) for m, h in resolutions)
+    cfg = harness.make_study_config(
+        kind="strong_rate", L=1.0, drift=None, taming=None, initial_modes=None,
+        s=0.5005, K=None, grid=grid[:-1], reference=grid[-1], T=1.0,
+        samples=64, seed=0)
+    with monkeypatch.context() as patch, pytest.raises(_Sized):
+        patch.setattr(noise, "chunk_rows", spy)
+        harness._paths_block(cfg, 0, [harness.Leg(r, 0, None) for r in grid])
+    return picked[0]
