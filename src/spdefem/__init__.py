@@ -10,12 +10,12 @@ studies), cli (config documents and serialized reports).
 
 __version__ = "0.1.0"
 
-from .errors import (AccuracyError, CapacityError, ConfigError,
-                     ConstraintError, InvalidArgumentError,
-                     NumericalBlowupError, SingularMatrixError, SpdefemError)
+from .errors import (CapacityError, ConfigError, ConstraintError,
+                     InvalidArgumentError, NumericalBlowupError,
+                     SingularMatrixError, SpdefemError)
 from .fem1d import (FemOperators, Mesh1D, TriDiagSym, assemble_mass,
                     assemble_operators, assemble_stiffness, build_mesh,
-                    discrete_spectrum, lp_norm, solve_tridiag)
+                    discrete_spectrum, lp_norm)
 from .drift import (DriftPolynomial, TamingParams, eval_f, eval_f_tamed,
                     one_sided_constant, taming_inequality_suite,
                     validate_params)

@@ -185,7 +185,7 @@ def parse_document(doc, workers=1):
                    required=kind in _MC_KINDS or kind == "smoothing", default=0)
     stride = _number(st, "stride", "study", integer=True, default=1)
     observable = st.get("observable", harness.DEFAULT_OBSERVABLE)
-    _require(observable in harness.OBSERVABLES,
+    _require(isinstance(observable, str) and observable in harness.OBSERVABLES,
              f"study.observable must be one of {sorted(harness.OBSERVABLES)}")
 
     window = None
@@ -193,9 +193,12 @@ def parse_document(doc, workers=1):
         w = st["window"]
         _require(isinstance(w, list) and len(w) == 2,
                  "study.window must be [low, high]")
-        window = (float(w[0]), None if w[1] is None else float(w[1]))
+        ends = dict(zip(("low", "high"), w))
+        window = (_number(ends, "low", "study.window", required=True),
+                  _number(ends, "high", "study.window"))
 
-    crn = bool(st.get("crn_tapes", False))
+    crn = st.get("crn_tapes", False)
+    _require(isinstance(crn, bool), "study.crn_tapes must be true or false")
     initials = None
     if kind == "equilibrate":
         raw = st.get("initials")
@@ -211,7 +214,12 @@ def parse_document(doc, workers=1):
                  "study.times must be a non-empty list of numbers")
         times = tuple(float(t) for t in raw)
         p = st.get("p", 2.0)
-        p = math.inf if p in ("inf", "Infinity") else float(p)
+        if p in ("inf", "Infinity"):
+            p = math.inf
+        else:
+            _require(isinstance(p, (int, float)) and not isinstance(p, bool),
+                     'study.p must be a number or "inf"')
+            p = float(p)
 
     extras = {}
     if kind == "taming_check":

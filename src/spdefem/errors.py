@@ -24,10 +24,6 @@ class CapacityError(SpdefemError):
     """A requested size exceeds a configured capacity limit."""
 
 
-class AccuracyError(SpdefemError):
-    """A computation cannot meet its accuracy contract."""
-
-
 class SingularMatrixError(SpdefemError):
     """Factorization hit a non-positive pivot."""
 

@@ -4,6 +4,11 @@ Only interior nodes are carried; the zero boundary values are structural
 and never assembled. Nodal values of a P1 function are its coefficients
 (Lagrange basis). Mass and stiffness matrices are symmetric tridiagonal.
 
+On the uniform mesh the DST-I sine vectors sin(i j pi / (n+1)) diagonalize
+both matrices, so the L2 projection of a sine series and the discrete
+H^gamma seminorm are closed forms around one sine transform, at any n.
+Only discrete_spectrum builds the dense eigenbasis, and caps its size.
+
 All non-polynomial integrands in this package are integrated with the
 same fixed 4-point Gauss rule per element (exact through degree 7), so
 quadrature is a documented part of the discretization, not a tunable.
@@ -98,22 +103,6 @@ def tridiag_matvec(A, x):
     return y
 
 
-def solve_tridiag(A, rhs):
-    """Solve A x = rhs for SPD tridiagonal A; rhs may be (n,) or (n, B).
-
-    Raises SingularMatrixError on a non-positive pivot.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != A.dim:
-        raise InvalidArgumentError(
-            f"rhs length {rhs.shape[0]} does not match matrix order {A.dim}"
-        )
-    fac = TriFactor(A)
-    # dpttrs on the factor rather than fac.solve: the benchmark tracer counts
-    # TriFactor.solve calls as the time-stepping solves, which this is not
-    return dpttrs(fac._d, fac._e, rhs)[0]
-
-
 class TriFactor:
     """LDL^T factorization of an SPD tridiagonal matrix, built once.
 
@@ -178,26 +167,48 @@ def quad_load(mesh, fvals):
     return c_right[:-1] + c_left[1:]
 
 
+def _hat_sine_amplitudes(mesh, K):
+    """(amp, k) with k_j = j pi / L, j = 1..K, in closed form:
+    integral of phi_i(x) sqrt(2/L) sin(k_j x) dx = amp_j sin(k_j x_i)."""
+    if K < 1:
+        raise InvalidArgumentError(f"K must be >= 1, got {K}")
+    k = np.arange(1, K + 1, dtype=float) * np.pi / mesh.L
+    h = mesh.h
+    return np.sqrt(2.0 / mesh.L) * (2.0 / (k**2 * h)) * (1.0 - np.cos(k * h)), k
+
+
 def sine_load_matrix(mesh, K):
     """Integrals of interior hats against the orthonormal sine basis.
 
     Entry (i, j-1) = integral of phi_i(x) * sqrt(2/L) sin(j pi x / L) dx,
     in closed form. Shape (n_interior, K).
     """
-    if K < 1:
-        raise InvalidArgumentError(f"K must be >= 1, got {K}")
-    j = np.arange(1, K + 1, dtype=float)
-    k = j * np.pi / mesh.L
-    h = mesh.h
-    amp = np.sqrt(2.0 / mesh.L) * (2.0 / (k**2 * h)) * (1.0 - np.cos(k * h))
+    amp, k = _hat_sine_amplitudes(mesh, K)
     return amp[None, :] * np.sin(np.outer(mesh.nodes, k))
 
 
 def project_sine_coeffs(ops, coeffs):
-    """Exact L2 projection of a finite sine series given by coefficients."""
+    """Exact L2 projection of a finite sine series given by its K coefficients.
+
+    At node i mode j reads sin(i j pi / (n+1)), which has period 2(n+1) in
+    j and is odd about n+1. So with r = j mod 2(n+1), mode j adds to mesh
+    mode r when 1 <= r <= n, subtracts from mesh mode 2(n+1) - r when
+    r > n+1, and vanishes when r is 0 or n+1. The mesh modes diagonalize
+    M, so the mass solve is a division by its eigenvalues, followed by one
+    sine transform.
+    """
+    mesh = ops.mesh
+    n = mesh.n_interior
     coeffs = np.asarray(coeffs, dtype=float)
-    b = sine_load_matrix(ops.mesh, coeffs.shape[0]) @ coeffs
-    return solve_tridiag(ops.mass, b)
+    K = coeffs.shape[0]
+    amp, _ = _hat_sine_amplitudes(mesh, K)
+    period = 2 * (n + 1)
+    # modes 0..K padded to whole periods; summing the periods folds j onto r
+    terms = np.zeros(-(-(K + 1) // period) * period)
+    terms[1:K + 1] = amp * coeffs
+    folded = terms.reshape(-1, period).sum(axis=0)
+    d = folded[1:n + 1] - folded[:n + 1:-1]
+    return sine_transform(d / _mass_eigenvalues(mesh)) / 2.0
 
 
 def sine_transform(x):
@@ -232,10 +243,15 @@ def discrete_spectrum(ops):
     j = np.arange(1, n + 1)
     # i j reduced mod 2(n+1) in integers, so sin never sees a large argument
     modes = np.sin((np.outer(j, j) % (2 * (n + 1))) * (np.pi / (n + 1)))
-    mass_eig = (mesh.h / 3.0) * (2.0 + np.cos(j * (np.pi / (n + 1))))
-    modes *= np.sqrt(2.0 / ((n + 1) * mass_eig))
+    modes *= np.sqrt(2.0 / ((n + 1) * _mass_eigenvalues(mesh)))
     modes *= np.sign(modes[np.argmax(np.abs(modes), axis=0), j - 1])
     return DiscreteSpectrum(lambdas=uniform_mesh_eigenvalue(mesh, j), modes=modes)
+
+
+def _mass_eigenvalues(mesh):
+    """mu_j = (h/3)(2 + cos theta_j), j = 1..n: M times sine vector j."""
+    n = mesh.n_interior
+    return (mesh.h / 3.0) * (2.0 + np.cos(np.arange(1, n + 1) * (np.pi / (n + 1))))
 
 
 def uniform_mesh_eigenvalue(mesh, j):
@@ -244,26 +260,20 @@ def uniform_mesh_eigenvalue(mesh, j):
     return (6.0 / mesh.h**2) * (1.0 - np.cos(th)) / (2.0 + np.cos(th))
 
 
-def apply_fractional_Ah(spec, ops, power, v):
-    """Spectral power of the discrete Laplacian applied to nodal data.
+def fractional_seminorm_sq(ops, gamma, v):
+    """Squared H^gamma seminorm |A_h^{gamma/2} v|_{L2}^2 of nodal data, (n,) or (n, B).
 
-    Returns sum_j lambda_j^power <M v, e_j> e_j. v may be (n,) or (n, B).
+    In the sine coordinates a = sine_transform(v) it is
+    sum_k lambda_k^gamma mu_k a_k^2 / (2(n+1)), with mu_k the mass
+    eigenvalues: gamma = 0 gives v^T M v and gamma = 1 gives v^T S v.
     """
     v = np.asarray(v, dtype=float)
-    n = ops.mesh.n_interior
-    if v.shape[0] != n or spec.modes.shape[0] != n:
-        raise InvalidArgumentError("dimension mismatch between spectrum, operators and vector")
-    c = spec.modes.T @ tridiag_matvec(ops.mass, v)
-    w = spec.lambdas ** power
-    return spec.modes @ (w.reshape(-1, *([1] * (v.ndim - 1))) * c)
-
-
-def fractional_seminorm_sq(spec, ops, gamma, v):
-    """Squared H^gamma seminorm |A_h^{gamma/2} v|_{L2}^2 via the eigenbasis."""
-    v = np.asarray(v, dtype=float)
-    c = spec.modes.T @ tridiag_matvec(ops.mass, v)
-    w = spec.lambdas ** gamma
-    return np.einsum("j...,j...->...", w.reshape(-1, *([1] * (v.ndim - 1))) * c, c)
+    mesh = ops.mesh
+    n = mesh.n_interior
+    lam = uniform_mesh_eigenvalue(mesh, np.arange(1, n + 1))
+    w = lam**gamma * _mass_eigenvalues(mesh) / (2.0 * (n + 1))
+    a = sine_transform(v)
+    return w @ (a * a)
 
 
 def lp_norm(mesh, v, p):

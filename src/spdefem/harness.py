@@ -504,7 +504,7 @@ def _initial_label(modes):
     return "+".join(f"{amp:g}*sin({int(j)}pi x/L)" for j, amp in modes)
 
 
-def equilibration_study(cfg, initial_conditions=None):
+def equilibration_study(cfg):
     """Observable mean over time for several initial conditions.
 
     All initial conditions ride the same driving paths (shared tapes per
@@ -512,8 +512,6 @@ def equilibration_study(cfg, initial_conditions=None):
     than averaging luck. Agreement is judged on per-sample means over the
     final window t in [3T/4, T].
     """
-    if initial_conditions is not None:
-        cfg = replace(cfg, initials=tuple(initial_conditions))
     if not cfg.initials:
         raise InvalidArgumentError("equilibration needs at least one initial condition")
     if len(cfg.grid) != 1:

@@ -23,8 +23,10 @@ import numpy as np
 from . import fem1d
 from .drift import eval_f_tamed, one_sided_constant, validate_params
 from .errors import InvalidArgumentError, NumericalBlowupError
-from .fem1d import QUAD_R, QUAD_W, TriDiagSym, TriFactor, tridiag_matvec
-# bound here for benchmarks/tracing.py, which wraps scheme.coarsen_coeffs
+from .fem1d import QUAD_R, QUAD_W, TriDiagSym, TriFactor
+# bound here for benchmarks/tracing.py, which wraps scheme.tridiag_matvec and
+# scheme.coarsen_coeffs
+from .fem1d import tridiag_matvec  # noqa: F401
 from .noise import coarsen_coeffs  # noqa: F401
 
 SOFT_SUP_NORM_CAP = 1e6
@@ -113,7 +115,6 @@ class RecordSpec:
     stride: int = 1
     norms: bool = True                 # L2, L4 and L^{2q(2q-1)} norms
     gamma: Optional[float] = None      # fractional seminorm order, None = skip
-    spectrum: object = None            # DiscreteSpectrum, computed lazily if needed
     phi: Optional[Callable] = None     # called as phi(x, l2_sq)
 
 
@@ -138,9 +139,6 @@ class _Recorder:
         if spec.norms and config.drift is not None:
             q = config.drift.q
             self.high_p = 2 * q * (2 * q - 1)
-        self.spectrum = spec.spectrum
-        if spec.gamma is not None and self.spectrum is None and spec.gamma != 1.0:
-            self.spectrum = fem1d.discrete_spectrum(config.ops)
         self.times, self.l2, self.l4, self.lh, self.hg, self.ph = [], [], [], [], [], []
 
     def grab(self, t, x):
@@ -152,13 +150,7 @@ class _Recorder:
             if self.high_p is not None:
                 self.lh.append(fem1d.lp_norm(self.ops.mesh, x, self.high_p))
         if self.spec.gamma is not None:
-            if self.spec.gamma == 1.0 and self.spectrum is None:
-                hg = np.einsum("i...,i...->...", x,
-                               tridiag_matvec(self.ops.stiffness, x))
-            else:
-                hg = fem1d.fractional_seminorm_sq(self.spectrum, self.ops,
-                                                  self.spec.gamma, x)
-            self.hg.append(hg)
+            self.hg.append(fem1d.fractional_seminorm_sq(self.ops, self.spec.gamma, x))
         if self.spec.phi is not None:
             self.ph.append(self.spec.phi(x, l2sq))
 

@@ -2,8 +2,9 @@
 
 Measures L^p errors of (E(t_n) - E^n_{tau,h} P_h) v for truncated sine
 series v, including the rough flat-spectrum class where only the L2 norm
-of the data is controlled. Also hosts the log-log rate fitter used by
-every convergence study in the package.
+of the data is controlled. P_h v and the discrete propagator are closed
+forms on the mesh's sine basis (fem1d). Also hosts the log-log rate
+fitter used by every convergence study in the package.
 """
 
 import math
@@ -13,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fem1d
-from .errors import AccuracyError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .noise import RngStream
 
 
@@ -73,7 +74,8 @@ def rough_initial(K, seed, L=1.0):
 def discrete_propagator(ops, tau, n, v):
     """n steps of the implicit heat map (M + tau S)^{-1} M applied to P_h v.
 
-    v is a SpectralFunction (projected exactly) or a nodal vector, (n,) or
+    v is a SpectralFunction (projected exactly, modes beyond n folded onto
+    the mesh by fem1d.project_sine_coeffs) or a nodal vector, (n,) or
     (n, B), already in the FE space. n = 0 returns the projection itself.
     The DST-I sine vectors diagonalize M and S on the uniform mesh, so the
     n steps are one scaling of mode j by (1 + tau lambda_{j,h})^{-n} between
@@ -97,13 +99,12 @@ def discrete_propagator(ops, tau, n, v):
     return fem1d.sine_transform(gain * fem1d.sine_transform(x)) / (2.0 * (dim + 1))
 
 
-def smoothing_error(ops, tau, n, p, v, eval_modes=None):
+def smoothing_error(ops, tau, n, p, v):
     """L^p distance between the exact and the fully discrete solution.
 
     Evaluated at t_n = n tau > 0 through the module quadrature rule
-    (p = inf: dense max over quadrature and mesh nodes). eval_modes caps
-    the series evaluation; if the neglected tail cannot be certified
-    below 1e-12 of the head an AccuracyError asks for a larger cap.
+    (p = inf: dense max over quadrature and mesh nodes), with every mode
+    of the series.
     """
     n = int(n)
     if n < 1:
@@ -113,16 +114,6 @@ def smoothing_error(ops, tau, n, p, v, eval_modes=None):
     mesh = ops.mesh
     t = n * tau
     ex = exact_semigroup(v, t)
-    coeffs = np.asarray(ex.coeffs)
-    if eval_modes is not None and eval_modes < len(coeffs):
-        head = np.sum(np.abs(coeffs[:eval_modes]))
-        tail = np.sum(np.abs(coeffs[eval_modes:]))
-        if tail > 1e-12 * max(head, 1e-300):
-            raise AccuracyError(
-                f"series tail {tail:.3g} above 1e-12 of head {head:.3g}; "
-                "increase eval_modes"
-            )
-        ex = SpectralFunction(L=ex.L, coeffs=coeffs[:eval_modes])
     xd = discrete_propagator(ops, tau, n, v)
 
     xq = fem1d.element_quad_points(mesh)

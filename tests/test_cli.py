@@ -91,6 +91,12 @@ class TestDocumentParsing:
         cfg, _ = cli.parse_document(doc)
         assert cfg.initial_modes == ((1, 2.0), (3, -0.5))
 
+    def test_window_high_end_may_be_open(self):
+        doc = copy.deepcopy(TINY_STRONG)
+        doc["study"]["window"] = [0.5, None]
+        cfg, _ = cli.parse_document(doc)
+        assert cfg.window == (0.5, None)
+
     def test_preset_fallback_by_name(self):
         doc = cli.load_document("trace_class_ci")
         cfg, _ = cli.parse_document(doc)
@@ -104,6 +110,24 @@ class TestMainExitCodes:
         rc = cli.main(["strong-rate", "--config", doc_file(tmp_path, doc),
                        "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize("sub,preset,key,value,field", [
+        ("smoothing", "smoothing_spatial", "p", "two", "study.p"),
+        ("smoothing", "smoothing_spatial", "p", None, "study.p"),
+        ("strong-rate", None, "window", ["a", 1.5], "study.window.low"),
+        ("strong-rate", None, "window", [None, 1.5], "study.window.low"),
+        ("strong-rate", None, "window", [0.5, "b"], "study.window.high"),
+        ("weak-rate", "weak_trace_class_ci", "crn_tapes", "no", "study.crn_tapes"),
+        ("strong-rate", None, "observable", ["l2"], "study.observable"),
+    ])
+    def test_malformed_field_exits_2(self, tmp_path, capsys, sub, preset, key, value,
+                                     field):
+        doc = copy.deepcopy(TINY_STRONG) if preset is None else cli.load_document(preset)
+        doc["study"][key] = value
+        rc = cli.main([sub, "--config", doc_file(tmp_path, doc),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
 
     def test_kind_subcommand_mismatch_exits_2(self, tmp_path):
         rc = cli.main(["weak-rate", "--config", doc_file(tmp_path, TINY_STRONG),

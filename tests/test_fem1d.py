@@ -6,7 +6,8 @@ import pytest
 from spdefem import fem1d
 from spdefem.errors import (CapacityError, InvalidArgumentError,
                             SingularMatrixError)
-from dense_reference import dense_eigenpairs, dense_mass_stiffness, dense_sine_loads
+from dense_reference import (dense_eigenpairs, dense_mass_stiffness,
+                             dense_sine_loads, dense_sine_projection)
 
 
 def ops_for(L, n):
@@ -70,7 +71,7 @@ class TestTridiagonal:
 
     def test_solve_unit_example(self):
         A = fem1d.TriDiagSym(dim=3, main=np.array([2.0, 2, 2]), off=np.array([-1.0, -1]))
-        x = fem1d.solve_tridiag(A, np.array([1.0, 0, 1]))
+        x = fem1d.TriFactor(A).solve(np.array([1.0, 0, 1]))
         assert x == pytest.approx([1.0, 1.0, 1.0], abs=1e-14)
 
     def test_solve_residual_contract(self):
@@ -80,7 +81,7 @@ class TestTridiagonal:
             off = rng.uniform(-0.9, 0.9, max(n - 1, 0))
             A = fem1d.TriDiagSym(dim=n, main=main, off=off)
             rhs = rng.normal(size=n)
-            x = fem1d.solve_tridiag(A, rhs)
+            x = fem1d.TriFactor(A).solve(rhs)
             resid = np.abs(fem1d.tridiag_matvec(A, x) - rhs).max()
             anorm = np.abs(main).max() + 2 * (np.abs(off).max() if n > 1 else 0)
             assert resid <= 1e-12 * (anorm * np.abs(x).max() + np.abs(rhs).max())
@@ -89,7 +90,7 @@ class TestTridiagonal:
         # second pivot 0.24 - 0.5^2 / 1 = -0.01
         A = fem1d.TriDiagSym(dim=2, main=np.array([1.0, 0.24]), off=np.array([0.5]))
         with pytest.raises(SingularMatrixError, match=r"pivot -0\.0100.* at row 1"):
-            fem1d.solve_tridiag(A, np.array([1.0, 1.0]))
+            fem1d.TriFactor(A)
 
     def test_nan_pivot_rejected(self):
         A = fem1d.TriDiagSym(dim=3, main=np.array([2.0, np.nan, 2.0]),
@@ -98,7 +99,6 @@ class TestTridiagonal:
             fem1d.TriFactor(A)
 
     def test_factor_matches_direct_solve(self):
-        # against a dense solve, not solve_tridiag, which is a TriFactor solve
         for n in (1, 2, 7, 63):
             ops = ops_for(1.0, n)
             A = fem1d.TriDiagSym(dim=n, main=ops.mass.main + 0.5 * ops.stiffness.main,
@@ -137,7 +137,7 @@ class TestProjection:
         xq = fem1d.element_quad_points(mesh)
         gq = np.interp(xq, np.concatenate([[0], mesh.nodes, [1.0]]),
                        np.concatenate([[0], nodal, [0.0]]))
-        got = fem1d.solve_tridiag(ops.mass, fem1d.quad_load(mesh, gq))
+        got = fem1d.TriFactor(ops.mass).solve(fem1d.quad_load(mesh, gq))
         assert got == pytest.approx(list(nodal), abs=1e-13)
 
     def test_sine_projection_against_dense_loads(self):
@@ -151,6 +151,21 @@ class TestProjection:
         assert b[1] == pytest.approx(0.23741030088794590869, abs=1e-15)
         # closed-form loads: the projection is exact up to round-off
         assert got == pytest.approx(list(np.linalg.solve(Md, b)), rel=1e-13)
+
+    @pytest.mark.parametrize("K_of_n", [
+        lambda n: 1, lambda n: n, lambda n: n + 1, lambda n: 2 * (n + 1),
+        lambda n: 3 * n + 7, lambda n: 256,
+    ], ids=["1", "n", "n+1", "2(n+1)", "3n+7", "256"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 63])
+    def test_projection_matches_dense(self, n, K_of_n):
+        # K > n: modes fold onto the mesh, and j = 0, n+1 mod 2(n+1) vanish there
+        K = K_of_n(n)
+        c = np.random.default_rng([14, n, K]).normal(size=K)
+        ops = ops_for(1.0, n)
+        got = fem1d.project_sine_coeffs(ops, c)
+        want = dense_sine_projection(1.0, n, c)
+        assert got.shape == (n,)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_sine_load_matrix_closed_form_entry(self):
         B = fem1d.sine_load_matrix(fem1d.build_mesh(1.0, 3), 2)
@@ -228,39 +243,38 @@ class TestSineTransform:
 
 
 class TestFractionalPowers:
-    def test_power_zero_is_identity(self):
-        ops = ops_for(1.0, 11)
-        spec = fem1d.discrete_spectrum(ops)
-        v = np.sin(3.0 * ops.mesh.nodes)
-        out = fem1d.apply_fractional_Ah(spec, ops, 0.0, v)
-        assert np.abs(out - v).max() <= 1e-10 * np.abs(v).max()
-
-    def test_half_powers_compose(self):
-        ops = ops_for(1.0, 11)
-        spec = fem1d.discrete_spectrum(ops)
-        v = np.cos(ops.mesh.nodes)
-        twice = fem1d.apply_fractional_Ah(
-            spec, ops, 0.5, fem1d.apply_fractional_Ah(spec, ops, 0.5, v))
-        once = fem1d.apply_fractional_Ah(spec, ops, 1.0, v)
-        assert np.abs(twice - once).max() <= 1e-8 * np.abs(once).max()
-
-    def test_full_power_is_discrete_laplacian(self):
-        # A_h v solves M (A_h v) = S v
-        ops = ops_for(1.0, 8)
-        spec = fem1d.discrete_spectrum(ops)
-        v = np.sin(2 * np.pi * ops.mesh.nodes)
-        direct = np.linalg.solve(full_matrix(ops.mass),
-                                 full_matrix(ops.stiffness) @ v)
-        assert np.allclose(fem1d.apply_fractional_Ah(spec, ops, 1.0, v), direct,
-                           rtol=1e-10)
-
     def test_seminorm_sq_matches_quadratic_form(self):
         ops = ops_for(1.0, 8)
-        spec = fem1d.discrete_spectrum(ops)
         v = np.sin(5.0 * ops.mesh.nodes)
         via_stiffness = float(v @ full_matrix(ops.stiffness) @ v)
-        assert fem1d.fractional_seminorm_sq(spec, ops, 1.0, v) == pytest.approx(
+        assert fem1d.fractional_seminorm_sq(ops, 1.0, v) == pytest.approx(
             via_stiffness, rel=1e-11)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.75, 1.0])
+    def test_seminorm_matches_dense_eigenpairs(self, gamma):
+        # sum_j lambda_j^gamma <M x, e_j>^2 over the dense generalized eigenpairs
+        L, n = 1.5, 20
+        ops = ops_for(L, n)
+        lam, vec = dense_eigenpairs(L, n)
+        Md, _ = dense_mass_stiffness(L, n)
+        X = np.random.default_rng(15).normal(size=(n, 4))
+        want = np.sum(lam[:, None] ** gamma * (vec.T @ Md @ X) ** 2, axis=0)
+        got = fem1d.fractional_seminorm_sq(ops, gamma, X)
+        assert got.shape == (4,)
+        assert np.allclose(got, want, rtol=1e-11, atol=0)
+        assert fem1d.fractional_seminorm_sq(ops, gamma, X[:, 2]) == pytest.approx(
+            want[2], rel=1e-11)
+
+    def test_seminorm_end_points_beyond_spectrum_cap(self):
+        # no dense eigenbasis: gamma = 0 is x^T M x and gamma = 1 is x^T S x
+        n = 2047
+        assert n > fem1d.SPECTRUM_DIM_CAP
+        ops = ops_for(1.0, n)
+        X = np.random.default_rng(16).normal(size=(n, 3))
+        for gamma, A in ((0.0, ops.mass), (1.0, ops.stiffness)):
+            want = np.einsum("ib,ib->b", X, fem1d.tridiag_matvec(A, X))
+            assert np.allclose(fem1d.fractional_seminorm_sq(ops, gamma, X), want,
+                               rtol=1e-12, atol=0)
 
 
 class TestNorms:

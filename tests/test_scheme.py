@@ -9,7 +9,7 @@ import pytest
 from spdefem import drift, fem1d, noise, scheme
 from spdefem.errors import InvalidArgumentError, NumericalBlowupError
 
-from dense_reference import dense_one_step
+from dense_reference import dense_eigenpairs, dense_mass_stiffness, dense_one_step
 
 CUBIC = drift.DriftPolynomial(q=2, coeffs=(0.0, 1.0, 0.0, -1.0))
 TAMING = drift.TamingParams(alpha=0.25, theta=1.0, rho=2.0, beta1=1.0, beta2=1.0)
@@ -275,12 +275,30 @@ class TestRecording:
         assert rec.phi[-1] == pytest.approx(np.sin(np.pi / 4 - l2sq), rel=1e-14)
 
     def test_gamma_seminorm_uses_spectrum(self):
+        # against sum_j lambda_j^gamma <M v, e_j>^2 over the dense eigenpairs
         cfg = config_for(4, 1.0 / 8, with_drift=False)
-        spec_dec = fem1d.discrete_spectrum(cfg.ops)
-        v = np.cos(np.linspace(0.0, 1.0, cfg.ops.mesh.n_interior))
-        frac = fem1d.fractional_seminorm_sq(spec_dec, cfg.ops, 0.75, v)
+        n = cfg.ops.mesh.n_interior
+        v = np.cos(np.linspace(0.0, 1.0, n))
+        lam, vec = dense_eigenpairs(1.0, n)
+        Md, _ = dense_mass_stiffness(1.0, n)
+        frac = np.sum(lam**0.75 * (vec.T @ Md @ v) ** 2)
         run_spec = scheme.RecordSpec(norms=False, gamma=0.75)
         _, rec = scheme.run(
             scheme.make_scheme_config(cfg.ops, None, None, 1.0 / 8, v),
             None, run_spec, n_steps=1)
         assert rec.hgamma_sq[0] == pytest.approx(frac, rel=1e-12)
+
+    def test_gamma_seminorm_beyond_spectrum_cap(self):
+        # a discrete eigenvector at n = 2047: |v|_{H^gamma}^2 = lambda^gamma |v|_M^2,
+        # and one implicit heat step scales it by (1 + tau lambda)^-2
+        tau = 1.0 / 8
+        ops = ops_for(11)
+        assert ops.mesh.n_interior > fem1d.SPECTRUM_DIM_CAP
+        v = np.sin(3.0 * np.pi * ops.mesh.nodes)
+        lam = fem1d.uniform_mesh_eigenvalue(ops.mesh, 3)
+        want = lam**0.75 * fem1d.l2_norm_sq_mass(ops, v)
+        _, rec = scheme.run(scheme.make_scheme_config(ops, None, None, tau, v), None,
+                            scheme.RecordSpec(norms=False, gamma=0.75), n_steps=1)
+        assert rec.hgamma_sq[0] == pytest.approx(want, rel=1e-12)
+        # M + tau S has condition ~ 1e6 here, so the solve keeps about ten digits
+        assert rec.hgamma_sq[1] == pytest.approx(want / (1.0 + tau * lam) ** 2, rel=1e-9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spdefem import fem1d, smoothing_lab as sl
-from spdefem.errors import AccuracyError, InvalidArgumentError
+from spdefem.errors import InvalidArgumentError
 from dense_reference import dense_sine_projection, loop_propagator
 
 
@@ -127,16 +127,6 @@ class TestSmoothingError:
         e2 = sl.smoothing_error(ops, 0.05, 4, 2.0, v).error
         einf = sl.smoothing_error(ops, 0.05, 4, np.inf, v).error
         assert einf >= e2
-
-    def test_eval_modes_guard(self):
-        ops = ops_for(3)
-        v = sl.SpectralFunction(L=1.0, coeffs=np.ones(50))
-        # at t = 0.001 the tail above mode 3 is far from negligible
-        with pytest.raises(AccuracyError):
-            sl.smoothing_error(ops, 0.001, 1, 2.0, v, eval_modes=3)
-        # at t = 1 everything beyond the first few modes is dead
-        out = sl.smoothing_error(ops, 0.5, 2, 2.0, v, eval_modes=10)
-        assert np.isfinite(out.error)
 
 
 class TestRateFit:
