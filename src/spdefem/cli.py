@@ -66,17 +66,24 @@ def _check_keys(obj, allowed, where):
     _require(not unknown, f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _is_int(v):
+    # JSON true and false load as bool, a subclass of int: never a number here
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number(obj, key, where, default=None, required=False, integer=False):
     if key not in obj or obj[key] is None:
         _require(not required, f"{where}.{key} is required")
         return default
     v = obj[key]
     if integer:
-        _require(isinstance(v, int) and not isinstance(v, bool),
-                 f"{where}.{key} must be an integer")
+        _require(_is_int(v), f"{where}.{key} must be an integer")
         return v
-    _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-             f"{where}.{key} must be a number")
+    _require(_is_number(v), f"{where}.{key} must be a number")
     return float(v)
 
 
@@ -92,8 +99,8 @@ def _parse_initial(spec, where):
         _require(isinstance(entry, list) and len(entry) == 2,
                  f"{where}.modes entries must be [j, amp] pairs")
         j, amp = entry
-        _require(isinstance(j, int) and j >= 1, f"{where}.modes: j must be a positive integer")
-        _require(isinstance(amp, (int, float)), f"{where}.modes: amp must be a number")
+        _require(_is_int(j) and j >= 1, f"{where}.modes: j must be a positive integer")
+        _require(_is_number(amp), f"{where}.modes: amp must be a number")
         out.append((j, float(amp)))
     return tuple(out)
 
@@ -103,7 +110,7 @@ def _parse_grid(raw, where):
     out = []
     for entry in raw:
         _require(isinstance(entry, list) and len(entry) == 2
-                 and all(isinstance(e, int) for e in entry),
+                 and all(_is_int(e) for e in entry),
                  f"{where} entries must be [m_exponent, h_exponent] integer pairs")
         out.append(Resolution(m=entry[0], h_exp=entry[1]))
     return tuple(out)
@@ -129,7 +136,7 @@ def parse_document(doc, workers=1):
     if prob.get("drift_coeffs") is not None:
         coeffs = prob["drift_coeffs"]
         _require(isinstance(coeffs, list) and
-                 all(isinstance(c, (int, float)) for c in coeffs),
+                 all(_is_number(c) for c in coeffs),
                  "problem.drift_coeffs must be a list of numbers")
         q = _number(prob, "q", "problem", required=True, integer=True)
         try:
@@ -210,15 +217,14 @@ def parse_document(doc, workers=1):
     if kind == "smoothing":
         raw = st.get("times", [1.0])
         _require(isinstance(raw, list) and raw
-                 and all(isinstance(t, (int, float)) for t in raw),
+                 and all(_is_number(t) for t in raw),
                  "study.times must be a non-empty list of numbers")
         times = tuple(float(t) for t in raw)
         p = st.get("p", 2.0)
         if p in ("inf", "Infinity"):
             p = math.inf
         else:
-            _require(isinstance(p, (int, float)) and not isinstance(p, bool),
-                     'study.p must be a number or "inf"')
+            _require(_is_number(p), 'study.p must be a number or "inf"')
             p = float(p)
 
     extras = {}

@@ -216,11 +216,11 @@ def _map_blocks(cfg, fn, n_blocks):
 
 
 class Leg(NamedTuple):
-    """One scheme run per sample of a block."""
+    """One scheme run per sample and start of a block."""
 
     res: Resolution
     stream: int                        # noise stream id of the driving tape
-    modes: Optional[tuple]             # initial sine modes; None = zero
+    starts: tuple                      # initial sine modes per start; None = zero
     record: Optional[scheme.RecordSpec] = None
 
 
@@ -236,8 +236,13 @@ def _paths_block(cfg, b, legs):
     chunk, coarsens it once per distinct factor and assembles one load
     set per distinct (mesh, factor), which every leg of that shape steps
     on. The tape buffer and both load sets share the
-    noise.MAX_TAPE_FLOATS budget. A leg yields its final (n, bs) state,
-    or its ObservableRecord when it records.
+    noise.MAX_TAPE_FLOATS budget.
+
+    A leg's starts are the column groups of one stepper: its (n, S)
+    initial state, one column per start, steps as an (n, S bs) state on
+    the leg's (n, bs) loads, so S starts cost one tridiagonal solve a
+    step. A leg yields its final (n, S bs) state, or its ObservableRecord
+    when it records; start i holds columns [i bs, (i+1) bs).
     """
     model = noise_model_for(cfg)
     K = 1 if model is None else model.K
@@ -248,9 +253,9 @@ def _paths_block(cfg, b, legs):
         if leg.res.h_exp not in ops:
             ops[leg.res.h_exp] = fem1d.assemble_operators(_mesh_for(cfg, leg.res))
         o = ops[leg.res.h_exp]
+        x0 = np.stack([_initial_vector(cfg, o, modes) for modes in leg.starts], axis=1)
         sc = scheme.make_scheme_config(o, cfg.drift, cfg.taming,
-                                       _tau_for(cfg, leg.res),
-                                       _initial_vector(cfg, o, leg.modes))
+                                       _tau_for(cfg, leg.res), x0)
         steppers.append(scheme.Stepper(sc, K, bs, leg.record))
     for stream in dict.fromkeys(leg.stream for leg in legs):
         m = max(leg.res.m for leg in legs if leg.stream == stream)
@@ -405,7 +410,7 @@ def strong_rate_study(cfg):
     t0 = time.perf_counter()
     ref = cfg.reference
     ref_ops = fem1d.assemble_operators(_mesh_for(cfg, ref))
-    legs = [Leg(r, 0, cfg.initial_modes) for r in (*cfg.grid, ref)]
+    legs = [Leg(r, 0, (cfg.initial_modes,)) for r in (*cfg.grid, ref)]
 
     def err2_of(states):
         x_ref = states[-1]
@@ -442,9 +447,9 @@ def weak_rate_study(cfg):
         raise InvalidArgumentError("weak study needs a reference resolution")
     t0 = time.perf_counter()
     # CRN: every resolution on stream 0; otherwise grid entry g on stream 1 + g
-    legs = [Leg(r, 0 if cfg.crn_tapes else 1 + g, cfg.initial_modes)
+    legs = [Leg(r, 0 if cfg.crn_tapes else 1 + g, (cfg.initial_modes,))
             for g, r in enumerate(cfg.grid)]
-    legs.append(Leg(cfg.reference, 0, cfg.initial_modes))
+    legs.append(Leg(cfg.reference, 0, (cfg.initial_modes,)))
     ops = {leg.res.h_exp: fem1d.assemble_operators(_mesh_for(cfg, leg.res))
            for leg in legs}
     phi = OBSERVABLES[cfg.observable]
@@ -508,9 +513,9 @@ def equilibration_study(cfg):
     """Observable mean over time for several initial conditions.
 
     All initial conditions ride the same driving paths (shared tapes per
-    sample index), so equal long-time means witness contraction rather
-    than averaging luck. Agreement is judged on per-sample means over the
-    final window t in [3T/4, T].
+    sample index, as the column groups of one leg), so equal long-time
+    means witness contraction rather than averaging luck. Agreement is
+    judged on per-sample means over the final window t in [3T/4, T].
     """
     if not cfg.initials:
         raise InvalidArgumentError("equilibration needs at least one initial condition")
@@ -528,12 +533,13 @@ def equilibration_study(cfg):
     t0 = time.perf_counter()
     spec = scheme.RecordSpec(stride=cfg.stride, norms=False,
                              phi=OBSERVABLES[cfg.observable])
-    blocks = _run_legs(cfg, [Leg(cfg.grid[0], 0, modes, spec)
-                             for modes in cfg.initials])
-    times = blocks[0][0].times
+    leg = Leg(cfg.grid[0], 0, tuple(cfg.initials), spec)
+    recs = [blk[0] for blk in _run_legs(cfg, [leg])]
+    times = recs[0].times
     n_ic = len(cfg.initials)
-    mats = [np.concatenate([blk[i].phi for blk in blocks], axis=1)
-            for i in range(n_ic)]
+    # start i is the i-th column group of every block's record
+    groups = [np.split(rec.phi, n_ic, axis=1) for rec in recs]
+    mats = [np.concatenate([g[i] for g in groups], axis=1) for i in range(n_ic)]
     n = mats[0].shape[1]
     means = np.stack([m.mean(axis=1) for m in mats])
     if n > 1:
@@ -602,7 +608,7 @@ def moment_study(cfg, horizon_multiplier=1):
     model = noise_model_for(cfg)
     spec = scheme.RecordSpec(stride=cfg.stride, norms=True,
                              gamma=1.0 if model is None else model.gamma_report)
-    leg = Leg(cfg.grid[0], 0, cfg.initial_modes, spec)
+    leg = Leg(cfg.grid[0], 0, (cfg.initial_modes,), spec)
     recs = [blk[0] for blk in _run_legs(cfg, [leg])]
     times = recs[0].times
     mats = {"l2_sq": np.concatenate([r.l2 ** 2 for r in recs], axis=1),

@@ -173,7 +173,7 @@ def _normalize_increments(config, increments, n_steps):
     if increments is None:
         if n_steps is None:
             raise InvalidArgumentError("zero-noise run needs n_steps")
-        return np.zeros((int(n_steps), 1) + np.shape(config.initial)[1:])
+        return np.zeros((int(n_steps), 1))      # one zero load for every column
     arr = np.asarray(increments, dtype=float)
     if arr.ndim < 2:
         raise InvalidArgumentError("coefficient array must be (steps, K[, B])")
@@ -223,10 +223,13 @@ class Stepper:
     chunk after chunk gives bit for bit the state and record of advancing
     once over the whole path. advance() is noise_loads() then
     step_loads(), and the two may run apart: the block driver assembles
-    the loads on a helper thread. batch replicates a 1-D initial state
-    into B columns; start (a SchemeState) begins the run at that state
-    and step instead of the config's initial state at step 0. Recording
-    never affects the dynamics.
+    the loads on a helper thread. batch replicates the initial state: a
+    1-D state into B columns, a 2-D (n, S) state of S starts into S
+    column groups of B, start i in columns [i B, (i+1) B). Every group
+    steps on the same (n, B) loads, so one stepper runs several starts
+    on one driving path. start (a SchemeState) begins the run at that
+    state and step instead of the config's initial state at step 0.
+    Recording never affects the dynamics.
 
     Each step_loads() allocates its work arrays once and runs every step
     in them: the tamed drift is interpolated, evaluated, tamed and
@@ -240,8 +243,8 @@ class Stepper:
         ops = config.ops
         n = ops.mesh.n_interior
         x = np.asarray(config.initial if start is None else start.x, dtype=float)
-        if batch is not None and x.ndim == 1:
-            x = np.repeat(x[:, None], batch, axis=1)
+        if batch is not None:
+            x = np.repeat(x.reshape(n, -1), batch, axis=1)   # start-major
         self._loadmat = fem1d.sine_load_matrix(ops.mesh, K)
         self._shifted = shifted_operator(config)
         width = 1 if x.ndim == 1 else x.shape[1]
@@ -252,6 +255,11 @@ class Stepper:
         self._mass = (M.main[:, None], np.r_[0.0, M.off][:, None],
                       np.r_[M.off, 0.0][:, None])
         if config.drift is not None:
+            # Horner's coefficients below the leading one, highest first; a
+            # 0.0 is None, its addition skipped (it can only turn -0.0 to 0.0)
+            coeffs = config.drift.coeffs
+            self._lead = coeffs[-1]
+            self._lower = tuple(None if c == 0.0 else c for c in coeffs[-2::-1])
             # tau h w_k phi(r_k) for the rising (node e) and falling (node e-1) hats
             self._weights = config.tau * ops.mesh.h * np.stack(
                 [QUAD_W * QUAD_R, QUAD_W * (1.0 - QUAD_R)])
@@ -281,12 +289,12 @@ class Stepper:
         np.multiply(pad[None, :-1], 1.0 - r, out=vq)
         np.multiply(pad[None, 1:], r, out=fq)
         vq += fq
-        coeffs = self.config.drift.coeffs       # Horner, as in drift.eval_f
-        np.multiply(vq, coeffs[-1], out=fq)
-        fq += coeffs[-2]
-        for c in coeffs[-3::-1]:
-            fq *= vq
-            fq += c
+        np.multiply(vq, self._lead, out=fq)     # Horner, as in drift.eval_f
+        for k, c in enumerate(self._lower):
+            if k:
+                fq *= vq
+            if c is not None:
+                fq += c
         self._tame(vq)
         fq /= vq
         # the (2, (n+1)B) element loads overwrite the first half of vq
@@ -310,9 +318,11 @@ class Stepper:
         config, x, pad, rhs, tmp = self.config, self._x, w.pad, w.rhs, w.tmp
         pad[1:-1] = x
         main, lo, hi = self._mass
-        # M x first and the load added to it: addition commutes bit for bit
+        # M x first and the load added to it: addition commutes bit for bit.
+        # Each group of load.shape[1] columns adds the same load.
         np.multiply(x, main, out=rhs)
-        rhs += load
+        groups = rhs.reshape(len(rhs), -1, load.shape[1])
+        groups += load[:, None]
         np.multiply(pad[:-2], lo, out=tmp)
         rhs += tmp
         np.multiply(pad[2:], hi, out=tmp)

@@ -119,11 +119,22 @@ class TestMainExitCodes:
         ("strong-rate", None, "window", [0.5, "b"], "study.window.high"),
         ("weak-rate", "weak_trace_class_ci", "crn_tapes", "no", "study.crn_tapes"),
         ("strong-rate", None, "observable", ["l2"], "study.observable"),
+        # JSON true loads as a bool, which Python counts as the integer 1
+        ("strong-rate", None, "grid", [[True, 5]], "study.grid"),
+        ("strong-rate", None, "problem.drift_coeffs", [0, True, 0, -1],
+         "problem.drift_coeffs"),
+        ("equilibrate", "equilibrate_ci", "initials", [{"modes": [[True, 2.0]]}],
+         "study.initials[0].modes"),
+        ("equilibrate", "equilibrate_ci", "initials", [{"modes": [[1, True]]}],
+         "study.initials[0].modes"),
+        ("smoothing", "smoothing_spatial", "times", [True], "study.times"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, sub, preset, key, value,
                                      field):
         doc = copy.deepcopy(TINY_STRONG) if preset is None else cli.load_document(preset)
-        doc["study"][key] = value
+        # key is "section.name", or a bare name in study
+        section, _, name = key.rpartition(".")
+        doc[section or "study"][name] = value
         rc = cli.main([sub, "--config", doc_file(tmp_path, doc),
                        "--out", str(tmp_path / "out")])
         assert rc == 2

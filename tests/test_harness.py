@@ -173,7 +173,7 @@ class TestStreamedTapes:
             initial_modes=None, s=0.5005, K=None,
             grid=(Resolution(4, 4), Resolution(6, 4)),
             reference=Resolution(10, 4), T=0.5, samples=64, seed=1)
-        legs = [harness.Leg(r, 0, None) for r in (*cfg.grid, cfg.reference)]
+        legs = [harness.Leg(r, 0, (None,)) for r in (*cfg.grid, cfg.reference)]
         tracemalloc.start()
         try:
             harness._paths_block(cfg, 0, legs)
@@ -213,7 +213,7 @@ def threads(monkeypatch):
 
 
 def strong_legs(cfg):
-    return [harness.Leg(r, 0, None) for r in (*cfg.grid, cfg.reference)]
+    return [harness.Leg(r, 0, (None,)) for r in (*cfg.grid, cfg.reference)]
 
 
 def fill_hook(monkeypatch, on_call):
@@ -270,18 +270,22 @@ def assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads):
     tapes = np.stack([noise.sample_tape_coeffs(model, cfg.seed, cfg.T, 2**m,
                                                noise.stream_context(0, i))
                       for i in harness._block_range(cfg, 0)], axis=2)
+    bs = tapes.shape[2]
     for leg, result in zip(legs, got):
         ops = fem1d.assemble_operators(harness._mesh_for(cfg, leg.res))
-        sc = scheme.make_scheme_config(ops, cfg.drift, cfg.taming,
-                                       cfg.T / 2**leg.res.m,
-                                       harness._initial_vector(cfg, ops, leg.modes))
-        want, rec = scheme.run(sc, noise.coarsen_coeffs(tapes, 2**(m - leg.res.m)),
-                               leg.record)
-        if leg.record is None:
-            assert np.array_equal(result, want.x)
-        else:
-            assert np.array_equal(result.times, rec.times)
-            assert np.array_equal(result.phi, rec.phi)
+        tape = noise.coarsen_coeffs(tapes, 2**(m - leg.res.m))
+        # start i of the leg is its column group i, run here on its own
+        for i, modes in enumerate(leg.starts):
+            cols = slice(i * bs, (i + 1) * bs)
+            sc = scheme.make_scheme_config(ops, cfg.drift, cfg.taming,
+                                           cfg.T / 2**leg.res.m,
+                                           harness._initial_vector(cfg, ops, modes))
+            want, rec = scheme.run(sc, tape, leg.record)
+            if leg.record is None:
+                assert np.array_equal(result[:, cols], want.x)
+            else:
+                assert np.array_equal(result.times, rec.times)
+                assert np.array_equal(result.phi[:, cols], rec.phi)
     return fills
 
 
@@ -300,17 +304,29 @@ class TestPrefetchedChunks:
         assert_matches_whole_tape_runs(cfg, strong_legs(cfg), monkeypatch, threads)
 
     def test_shared_load_set_matches_whole_tape_runs(self, monkeypatch, threads):
-        # the equilibration: three starts on one mesh and factor share one load
-        # set, so the helper assembles it with one noise_loads call per chunk
+        # the equilibration: three starts are the column groups of one leg, so
+        # the helper assembles their load set with one noise_loads call per
+        # chunk, and one step_loads call per chunk steps all three
         cfg = dataclasses.replace(equilibrate_cfg(), samples=8)
         spec = scheme.RecordSpec(stride=cfg.stride, norms=False,
                                  phi=harness.OBSERVABLES[cfg.observable])
-        legs = [harness.Leg(cfg.grid[0], 0, modes, spec) for modes in cfg.initials]
+        legs = [harness.Leg(cfg.grid[0], 0, cfg.initials, spec)]
         calls = loads_hook(monkeypatch, lambda count: None)
+        stepped = []
+        step_loads = scheme.Stepper.step_loads
+
+        def counted(stepper, loads):
+            stepped.append(len(loads))
+            return step_loads(stepper, loads)
+
+        monkeypatch.setattr(scheme.Stepper, "step_loads", counted)
         fills = assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads)
         on_helper = [t for t in calls if t is not threading.main_thread()]
-        # the oracle's own scheme.run calls assemble on the main thread
-        assert len(on_helper) == len(fills) == len(calls) - len(legs)
+        # the oracle runs each start whole: one assembly and one step_loads
+        # call per start, on the main thread
+        n_starts = len(cfg.initials)
+        assert len(on_helper) == len(fills) == len(calls) - n_starts
+        assert len(stepped) == len(fills) + n_starts
 
     def test_draw_failure_propagates(self, monkeypatch, threads):
         # the third fill is the third chunk, drawn on the helper while the
@@ -443,6 +459,26 @@ class TestEquilibration:
                                   initials=(((1, 2.0),), ((1, 2.0),)))
         rep = harness.equilibration_study(cfg)
         assert np.array_equal(rep.means[0], rep.means[1])
+
+    def test_starts_share_one_solve_per_step(self):
+        # the three starts are column groups of one stepper: a block makes
+        # one tridiagonal solve a step, not one per start
+        cfg = dataclasses.replace(equilibrate_cfg(), samples=8)
+        assert len(cfg.initials) == 3
+        solves = []
+        solve = fem1d.TriFactor.solve
+
+        def counted(factor, rhs):
+            solves.append(rhs.shape)
+            return solve(factor, rhs)
+
+        fem1d.TriFactor.solve = counted
+        try:
+            harness.equilibration_study(cfg)
+        finally:
+            fem1d.TriFactor.solve = solve
+        assert len(solves) == 2 ** cfg.grid[0].m
+        assert set(solves) == {(2 ** cfg.grid[0].h_exp - 1, 3 * 8)}
 
     def test_single_sample_flagged(self):
         cfg = dataclasses.replace(equilibrate_cfg(), samples=1)

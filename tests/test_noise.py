@@ -206,5 +206,5 @@ def block_chunk_rows(monkeypatch, resolutions):
         samples=64, seed=0)
     with monkeypatch.context() as patch, pytest.raises(_Sized):
         patch.setattr(noise, "chunk_rows", spy)
-        harness._paths_block(cfg, 0, [harness.Leg(r, 0, None) for r in grid])
+        harness._paths_block(cfg, 0, [harness.Leg(r, 0, (None,)) for r in grid])
     return picked[0]

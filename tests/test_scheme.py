@@ -102,6 +102,9 @@ class TestSingleStepOracle:
 
 QUINTIC = drift.DriftPolynomial(q=3, coeffs=(0.5, 1.0, -0.3, 0.2, 0.1, -1.0))
 SQRT_TAMING = drift.TamingParams(alpha=0.5, theta=1.0, rho=2.0, beta1=1.0, beta2=1.0)
+PURE_CUBIC = drift.DriftPolynomial(q=2, coeffs=(0.0, 0.0, 0.0, -1.0))
+SHIFTED_CUBIC = drift.DriftPolynomial(q=2, coeffs=(0.5, 0.0, 0.0, -1.0))
+SPARSE_QUINTIC = drift.DriftPolynomial(q=3, coeffs=(0.0, 1.0, 0.0, 0.0, 0.0, -1.0))
 
 
 class TestFusedDriftKernel:
@@ -110,6 +113,11 @@ class TestFusedDriftKernel:
         "cubic-quartic-root": (CUBIC, TAMING, "_tame_quartic_root"),
         "quintic-general": (QUINTIC, TAMING, "_tame_general"),
         "cubic-alpha-half-general": (CUBIC, SQRT_TAMING, "_tame_general"),
+        # 0.0 coefficients, whose Horner additions the kernel skips; CUBIC
+        # above is (0, 1, 0, -1)
+        "pure-cubic": (PURE_CUBIC, TAMING, "_tame_quartic_root"),
+        "shifted-pure-cubic": (SHIFTED_CUBIC, SQRT_TAMING, "_tame_general"),
+        "quintic-zero-middle": (SPARSE_QUINTIC, TAMING, "_tame_general"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -147,6 +155,44 @@ class TestFusedDriftKernel:
         assert np.array_equal(whole.finish()[0].x, single.finish()[0].x)
 
 
+class TestColumnGroups:
+    @pytest.mark.parametrize("n", [31, 63])
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_starts_match_separate_steppers(self, n, batch):
+        # an (n, 3) initial state steps as three column groups of batch
+        # columns on one load set, bit for bit as three batch-wide steppers.
+        # The recorded norms of a lone column are the exception: fem1d's
+        # reductions (einsum, the seminorm's matrix-vector product) sum
+        # one column in another order than several, so they agree to
+        # round-off there.
+        ops = fem1d.assemble_operators(fem1d.build_mesh(1.0, n))
+        rng = np.random.default_rng([n, batch])
+        starts = rng.standard_normal((n, 3))
+        loads = 0.1 * rng.standard_normal((9, n, batch))
+        spec = scheme.RecordSpec(stride=2, gamma=0.75,
+                                 phi=lambda x, l2sq: np.sin(np.pi / 4 - l2sq))
+
+        def stepped(initial):
+            cfg = scheme.make_scheme_config(ops, CUBIC, TAMING, 1.0 / 64, initial)
+            stepper = scheme.Stepper(cfg, 1, batch, spec)
+            stepper.step_loads(loads)
+            return stepper.finish()
+
+        wide, wrec = stepped(starts)
+        assert wide.x.shape == (n, 3 * batch)
+        for i in range(3):
+            cols = slice(i * batch, (i + 1) * batch)
+            state, rec = stepped(starts[:, i])
+            assert np.array_equal(wide.x[:, cols], state.x)
+            assert np.array_equal(wrec.times, rec.times)
+            for name in ("l2", "l4", "l_high", "hgamma_sq", "phi"):
+                got, want = getattr(wrec, name)[:, cols], getattr(rec, name)
+                if batch > 1:
+                    assert np.array_equal(got, want)
+                else:
+                    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
 class TestRunBehaviour:
     def test_heat_decay_monotone(self):
         ops = ops_for(5)
@@ -159,6 +205,17 @@ class TestRunBehaviour:
         cfg = config_for(3, 0.1, with_drift=False)
         with pytest.raises(InvalidArgumentError):
             scheme.run(cfg, None)
+
+    def test_zero_noise_keeps_the_initial_columns(self):
+        # one zero load drives every column; no batch replicates a 2-D state
+        ops = ops_for(3)
+        x0 = np.sin(np.outer(np.arange(1.0, 8.0), [1.0, 2.0, 3.0]))
+        state, _ = scheme.run(scheme.make_scheme_config(ops, CUBIC, TAMING, 0.1, x0),
+                              None, n_steps=4)
+        assert state.x.shape == (7, 3)
+        for i in range(3):
+            cfg = scheme.make_scheme_config(ops, CUBIC, TAMING, 0.1, x0[:, i])
+            assert np.array_equal(state.x[:, i], scheme.run(cfg, None, n_steps=4)[0].x)
 
     def test_blowup_reported_with_location(self):
         # an absurd initial state overflows the cubic before taming bites
