@@ -217,8 +217,8 @@ def parse_document(doc, workers=1):
     if kind == "smoothing":
         raw = st.get("times", [1.0])
         _require(isinstance(raw, list) and raw
-                 and all(_is_number(t) for t in raw),
-                 "study.times must be a non-empty list of numbers")
+                 and all(_is_number(t) and math.isfinite(t) and t > 0 for t in raw),
+                 "study.times must be a non-empty list of finite positive numbers")
         times = tuple(float(t) for t in raw)
         p = st.get("p", 2.0)
         if p in ("inf", "Infinity"):
@@ -226,6 +226,7 @@ def parse_document(doc, workers=1):
         else:
             _require(_is_number(p), 'study.p must be a number or "inf"')
             p = float(p)
+        _require(p >= 2, f"study.p must lie in [2, inf], got {p}")
 
     extras = {}
     if kind == "taming_check":

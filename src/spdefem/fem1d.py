@@ -7,6 +7,8 @@ and never assembled. Nodal values of a P1 function are its coefficients
 On the uniform mesh the DST-I sine vectors sin(i j pi / (n+1)) diagonalize
 both matrices, so the L2 projection of a sine series and the discrete
 H^gamma seminorm are closed forms around one sine transform, at any n.
+The same period-2(n+1) fold evaluates a sine series at the mesh-aligned
+points (e + r) h with one inverse FFT per offset r.
 Only discrete_spectrum builds the dense eigenbasis, and caps its size.
 
 All non-polynomial integrands in this package are integrated with the
@@ -14,6 +16,7 @@ same fixed 4-point Gauss rule per element (exact through degree 7), so
 quadrature is a documented part of the discretization, not a tunable.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,6 +214,28 @@ def project_sine_coeffs(ops, coeffs):
     return sine_transform(d / _mass_eigenvalues(mesh)) / 2.0
 
 
+def sine_series_at(mesh, coeffs, offsets):
+    """Values of sum_j coeffs[j-1] sqrt(2/L) sin(j pi x / L) at x = (e + r) h.
+
+    Shape (n+1, len(offsets)): row e = 0..n, column one offset r. With
+    theta = pi / (n+1) the series at (e + r) h is Im sum_j w_j e^{i j theta e},
+    w_j = sqrt(2/L) coeffs[j-1] e^{i j theta r}. Only e^{i j theta e} has
+    period 2(n+1) in j, so w folds onto j mod 2(n+1) as in
+    project_sine_coeffs, and one inverse FFT per offset evaluates every e.
+    """
+    n = mesh.n_interior
+    coeffs = np.asarray(coeffs, dtype=float)
+    K = coeffs.shape[0]
+    period = 2 * (n + 1)
+    theta = np.pi / (n + 1)
+    j = np.arange(1, K + 1, dtype=float)
+    terms = np.zeros((-(-(K + 1) // period) * period, len(offsets)), dtype=complex)
+    terms[1:K + 1] = (np.sqrt(2.0 / mesh.L) * coeffs)[:, None] * np.exp(
+        1j * theta * np.outer(j, offsets))
+    folded = terms.reshape(-1, period, len(offsets)).sum(axis=0)
+    return period * np.fft.ifft(folded, axis=0)[:n + 1].imag
+
+
 def sine_transform(x):
     """DST-I along axis 0: y_k = 2 sum_i x_i sin(i k pi / (n+1)), i, k = 1..n.
 
@@ -269,11 +294,19 @@ def fractional_seminorm_sq(ops, gamma, v):
     """
     v = np.asarray(v, dtype=float)
     mesh = ops.mesh
-    n = mesh.n_interior
+    a = sine_transform(v)
+    return _seminorm_weights(mesh.L, mesh.n_interior, gamma) @ (a * a)
+
+
+@functools.lru_cache(maxsize=32)
+def _seminorm_weights(L, n, gamma):
+    """lambda_k^gamma mu_k / (2(n+1)), k = 1..n, read-only: a recorder asks
+    for the same mesh and gamma at every recorded step."""
+    mesh = build_mesh(L, n)
     lam = uniform_mesh_eigenvalue(mesh, np.arange(1, n + 1))
     w = lam**gamma * _mass_eigenvalues(mesh) / (2.0 * (n + 1))
-    a = sine_transform(v)
-    return w @ (a * a)
+    w.flags.writeable = False
+    return w
 
 
 def lp_norm(mesh, v, p):

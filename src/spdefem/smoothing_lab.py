@@ -2,9 +2,13 @@
 
 Measures L^p errors of (E(t_n) - E^n_{tau,h} P_h) v for truncated sine
 series v, including the rough flat-spectrum class where only the L2 norm
-of the data is controlled. P_h v and the discrete propagator are closed
-forms on the mesh's sine basis (fem1d). Also hosts the log-log rate
-fitter used by every convergence study in the package.
+of the data is controlled. Both sides are closed forms on the mesh's sine
+basis (fem1d): P_h v and the discrete propagator through sine transforms,
+and the exact series at the quadrature points and nodes through one
+folded FFT per quadrature offset (fem1d.sine_series_at).
+evaluate_spectral, the dense sine table at arbitrary points, is kept as
+the oracle for that evaluation. Also hosts the log-log rate fitter used
+by every convergence study in the package.
 """
 
 import math
@@ -103,23 +107,25 @@ def smoothing_error(ops, tau, n, p, v):
     """L^p distance between the exact and the fully discrete solution.
 
     Evaluated at t_n = n tau > 0 through the module quadrature rule
-    (p = inf: dense max over quadrature and mesh nodes), with every mode
-    of the series.
+    (p = inf: max over quadrature and mesh nodes), with every mode of the
+    series. The exact side is a closed form on the mesh too: the points
+    are (e + r) h, so fem1d.sine_series_at sums all modes with one folded
+    FFT per offset r (the quadrature abscissae, and 0 for the nodes).
     """
     n = int(n)
     if n < 1:
         raise InvalidArgumentError("smoothing error needs t_n > 0 (n >= 1)")
-    if not (p >= 2 or np.isinf(p)):
+    if not p >= 2:
         raise InvalidArgumentError(f"p must lie in [2, inf], got {p}")
     mesh = ops.mesh
     t = n * tau
     ex = exact_semigroup(v, t)
     xd = discrete_propagator(ops, tau, n, v)
 
-    xq = fem1d.element_quad_points(mesh)
-    dq = evaluate_spectral(ex, xq) - fem1d.interpolant_at_quad(mesh, xd)
+    exact = fem1d.sine_series_at(mesh, ex.coeffs, (*fem1d.QUAD_R, 0.0))
+    dq = exact[:, :-1] - fem1d.interpolant_at_quad(mesh, xd)
     if np.isinf(p):
-        node_diff = evaluate_spectral(ex, mesh.nodes) - xd
+        node_diff = exact[1:, -1] - xd
         err = max(np.abs(dq).max(), np.abs(node_diff).max())
     else:
         err = (mesh.h * np.einsum("q,eq->", fem1d.QUAD_W, np.abs(dq) ** p)) ** (1.0 / p)

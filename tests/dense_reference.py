@@ -7,11 +7,17 @@ is exact for the integrands, systems are solved with LAPACK on full
 matrices. The nonlinear load is the one deliberate exception: the
 4-point per-element rule is part of the method's definition, so the
 reference codes that rule independently rather than out-integrating it.
+dense_smoothing_error is the other exception: it keeps the package's
+former dense evaluation of the exact side, one sin table over every
+quadrature point and mode, around the package's own propagator.
 """
 
 import numpy as np
 import scipy.linalg
 from numpy.polynomial.legendre import leggauss
+
+from spdefem import fem1d
+from spdefem.smoothing_lab import discrete_propagator, evaluate_spectral, exact_semigroup
 
 
 def hat(x, center, h):
@@ -151,3 +157,17 @@ def dense_one_step(x0, inc_coeffs, L, tau, coeffs, q,
         rhs = rhs + tau * dense_drift_load(x0, L, coeffs, q, alpha, theta,
                                            rho, beta1, beta2, tau)
     return np.linalg.solve(M + tau * S, rhs)
+
+
+def dense_smoothing_error(ops, tau, n, p, v):
+    """L^p distance between E(n tau) v and the fully discrete solution,
+    with the exact series evaluated as a dense (4(n+1)) x K sin table."""
+    mesh = ops.mesh
+    ex = exact_semigroup(v, n * tau)
+    xd = discrete_propagator(ops, tau, n, v)
+    dq = (evaluate_spectral(ex, fem1d.element_quad_points(mesh))
+          - fem1d.interpolant_at_quad(mesh, xd))
+    if np.isinf(p):
+        node_diff = evaluate_spectral(ex, mesh.nodes) - xd
+        return max(np.abs(dq).max(), np.abs(node_diff).max())
+    return (mesh.h * np.einsum("q,eq->", fem1d.QUAD_W, np.abs(dq) ** p)) ** (1.0 / p)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -128,6 +129,9 @@ class TestMainExitCodes:
         ("equilibrate", "equilibrate_ci", "initials", [{"modes": [[1, True]]}],
          "study.initials[0].modes"),
         ("smoothing", "smoothing_spatial", "times", [True], "study.times"),
+        ("smoothing", "smoothing_spatial", "p", -math.inf, "study.p"),
+        ("smoothing", "smoothing_spatial", "times", [math.inf], "study.times"),
+        ("smoothing", "smoothing_spatial", "times", [math.nan], "study.times"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, sub, preset, key, value,
                                      field):

@@ -6,6 +6,7 @@ import pytest
 from spdefem import fem1d
 from spdefem.errors import (CapacityError, InvalidArgumentError,
                             SingularMatrixError)
+from spdefem.smoothing_lab import SpectralFunction, evaluate_spectral
 from dense_reference import (dense_eigenpairs, dense_mass_stiffness,
                              dense_sine_loads, dense_sine_projection)
 
@@ -242,6 +243,47 @@ class TestSineTransform:
         assert np.allclose(twice, 64.0 * x, rtol=0, atol=1e-12)
 
 
+def extended_sine_series(L, n, coeffs, offsets):
+    """The series at (e + r) h summed term by term in long double.
+
+    j e is reduced mod 2(n+1) in integers, so no argument exceeds
+    2 pi + j pi r / (n+1).
+    """
+    K = len(coeffs)
+    j = np.arange(1, K + 1)
+    je = (np.outer(np.arange(n + 1), j) % (2 * (n + 1))).astype(np.longdouble)
+    theta = np.longdouble("3.14159265358979323846264338327950288") / (n + 1)
+    c = np.sqrt(np.longdouble(2) / np.longdouble(L)) * np.asarray(coeffs, np.longdouble)
+    cols = [np.sin((je + j * np.longdouble(r)) * theta) @ c for r in offsets]
+    return np.stack(cols, axis=1).astype(float)
+
+
+# K: no fold, exactly one period 2(n+1), several folds
+SERIES_CASES = [(n, K) for n in (1, 2, 7, 63, 255)
+                for K in sorted({0, 1, 5, 2 * (n + 1), 6 * (n + 1) + 1, 256})]
+
+
+class TestSineSeriesAt:
+    OFFSETS = (*fem1d.QUAD_R, 0.0)
+
+    @pytest.mark.parametrize("n,K", SERIES_CASES)
+    def test_matches_termwise_sums(self, n, K):
+        L = 1.5
+        mesh = fem1d.build_mesh(L, n)
+        coeffs = np.random.default_rng([21, n, K]).normal(size=K)
+        got = fem1d.sine_series_at(mesh, coeffs, self.OFFSETS)
+        assert got.shape == (n + 1, len(self.OFFSETS))
+        x = (np.arange(n + 1)[:, None] + np.array(self.OFFSETS)) * mesh.h
+        dense = evaluate_spectral(SpectralFunction(L=L, coeffs=coeffs), x)
+        ref = extended_sine_series(L, n, coeffs, self.OFFSETS)
+        scale = np.abs(ref).max(axis=0)
+        # the fold is exact up to round-off at every n and K
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+        # evaluate_spectral rounds sin arguments up to K pi (4.8e3 at
+        # K = 1537), which costs it up to 3e-13 of the column maximum
+        assert np.all(np.abs(got - dense) <= 1e-12 * scale)
+
+
 class TestFractionalPowers:
     def test_seminorm_sq_matches_quadratic_form(self):
         ops = ops_for(1.0, 8)
@@ -264,6 +306,20 @@ class TestFractionalPowers:
         assert np.allclose(got, want, rtol=1e-11, atol=0)
         assert fem1d.fractional_seminorm_sq(ops, gamma, X[:, 2]) == pytest.approx(
             want[2], rel=1e-11)
+
+    def test_seminorm_weights_cached_read_only(self):
+        # cached per (mesh, gamma) and the same bytes as the weights built inline
+        ops = ops_for(1.0, 31)
+        mesh = ops.mesh
+        X = np.random.default_rng(17).normal(size=(31, 16))
+        lam = fem1d.uniform_mesh_eigenvalue(mesh, np.arange(1, 32))
+        for gamma in (0.0, 0.3, 1.0):
+            w = lam**gamma * fem1d._mass_eigenvalues(mesh) / 64.0
+            a = fem1d.sine_transform(X)
+            assert np.array_equal(fem1d.fractional_seminorm_sq(ops, gamma, X), w @ (a * a))
+            cached = fem1d._seminorm_weights(mesh.L, mesh.n_interior, gamma)
+            assert cached is fem1d._seminorm_weights(mesh.L, mesh.n_interior, gamma)
+            assert not cached.flags.writeable
 
     def test_seminorm_end_points_beyond_spectrum_cap(self):
         # no dense eigenbasis: gamma = 0 is x^T M x and gamma = 1 is x^T S x

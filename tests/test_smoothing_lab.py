@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from spdefem import fem1d, smoothing_lab as sl
+from spdefem import cli, fem1d, harness, smoothing_lab as sl
 from spdefem.errors import InvalidArgumentError
-from dense_reference import dense_sine_projection, loop_propagator
+from dense_reference import dense_sine_projection, dense_smoothing_error, loop_propagator
 
 
 def ops_for(h_exp, L=1.0):
@@ -104,6 +104,8 @@ class TestSmoothingError:
             sl.smoothing_error(ops, 0.1, 0, 2.0, v)
         with pytest.raises(InvalidArgumentError):
             sl.smoothing_error(ops, 0.1, 1, 1.5, v)
+        with pytest.raises(InvalidArgumentError):
+            sl.smoothing_error(ops, 0.1, 1, -np.inf, v)
 
     def test_single_mode_error_matches_closed_form(self):
         # for v = first continuous mode both solutions stay (nearly) on
@@ -120,6 +122,34 @@ class TestSmoothingError:
         diff = exact - np.interp(xs, nodes, vals)
         ref = np.sqrt(np.trapezoid(diff**2, xs))
         assert sample.error == pytest.approx(ref, rel=1e-4)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, 12.0, np.inf])
+    @pytest.mark.parametrize("h_exp,tau,steps", [
+        (3, 2.0**-12, 4096), (5, 2.0**-12, 4096), (8, 2.0**-12, 4096),
+        (6, 2.0**-4, 16), (6, 2.0**-10, 1), (4, 2.0**-10, 64),
+    ])
+    def test_matches_dense_table(self, h_exp, tau, steps, p):
+        ops = ops_for(h_exp)
+        v = sl.rough_initial(256, seed=9)
+        got = sl.smoothing_error(ops, tau, steps, p, v).error
+        assert got == pytest.approx(dense_smoothing_error(ops, tau, steps, p, v), rel=1e-12)
+
+    def test_study_builds_no_sine_table(self):
+        # the exact side comes from the folded FFT, never from the dense table
+        cfg, _ = cli.parse_document(cli.load_document("smoothing_spatial"))
+        calls = []
+        dense = sl.evaluate_spectral
+
+        def counted(v, x):
+            calls.append(np.shape(x))
+            return dense(v, x)
+
+        sl.evaluate_spectral = counted
+        try:
+            harness.smoothing_study(cfg)
+        finally:
+            sl.evaluate_spectral = dense
+        assert calls == []
 
     def test_sup_norm_at_least_l2(self):
         ops = ops_for(4)
