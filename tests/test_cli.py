@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -176,13 +177,81 @@ class TestMainExitCodes:
         assert rc == 2
 
 
+def tiny_doc(kind, problem=TINY_STRONG["problem"], **study):
+    return {"problem": problem, "noise": TINY_STRONG["noise"],
+            "study": {"kind": kind, **study}}
+
+
+NO_DRIFT = {"L": 1.0, "drift_coeffs": None, "initial": "zero"}
+FIT = r"fitted order -?\d+\.\d{4} \+/- \d+\.\d{4} window=\[\S+, \S+\] passed=(True|False)"
+PASSED = r"passed=(True|False|None)"
+RATE_KEYS = {"kind", "fitted_order", "fit_stderr", "window", "passed", "axis",
+             "resolutions", "taus", "hs", "errors", "stderrs", "flags", "metadata"}
+
+# subcommand: (document, CSV header, data rows, summary.json keys, stdout line)
+TINY_RUNS = {
+    "strong-rate": (
+        TINY_STRONG, "resolution_m,resolution_h,error,stderr,samples", 3,
+        RATE_KEYS, rf"strong_rate: {FIT}"),
+    "weak-rate": (
+        tiny_doc("weak_rate", T=0.25, grid=[[3, 3], [4, 3], [5, 3]],
+                 reference=[8, 3], samples=8, seed=11, crn_tapes=True),
+        "resolution_m,resolution_h,error,stderr,samples", 3,
+        RATE_KEYS, rf"weak_rate: {FIT}"),
+    "smoothing": (
+        tiny_doc("smoothing", problem=NO_DRIFT, T=2.0,
+                 grid=[[3, 5], [4, 5], [5, 5]], times=[1.0, 2.0], p=2.0, seed=1),
+        "resolution_m,resolution_h,t,p,error", 6,
+        {"kind", "fitted_order", "fit_stderr", "window", "passed", "axis",
+         "decay_ok", "errors", "metadata"},
+        rf"smoothing: {FIT}"),
+    "equilibrate": (
+        tiny_doc("equilibrate", T=1.0, grid=[[6, 3]], samples=4, seed=3, stride=8,
+                 initials=["zero", {"modes": [[1, 2.0]]}]),
+        "t,mean_ic0,stderr_ic0,mean_ic1,stderr_ic1", 9,
+        {"kind", "labels", "window", "window_means", "window_stderrs", "pairwise",
+         "passed", "flags", "metadata"},
+        rf"equilibrate: window means \[\S+, \S+\] {PASSED}"),
+    "longtime": (
+        tiny_doc("longtime", T=1.0, grid=[[6, 3]], samples=4, seed=5, stride=8),
+        "t,l2_sq_mean,l2_sq_stderr,l4_4_mean,l4_4_stderr,hgamma_sq_mean,hgamma_sq_stderr",
+        9, {"kind", "trend_window", "trends", "passed", "final_values", "metadata"},
+        r"longtime: trend slopes \{'l2_sq': \S+, 'l4_4': \S+, 'hgamma_sq': \S+\} "
+        + PASSED),
+    "taming-check": (
+        tiny_doc("taming_check", T=1.0, grid=[[4, 4]], u_max=5.0, u_step=0.5),
+        "resolution_m,resolution_h,tau,sign_ok,dominated_margin,growth_constant,"
+        "approx_margin,monotone_tau_ok,monotone_h_ok,penalty_c0,penalty_c1,"
+        "penalty_margin,ok", 1,
+        {"kind", "rows", "passed", "u_max", "u_step", "metadata"},
+        r"taming_check: passed=True"),
+    "spectrum-check": (
+        tiny_doc("spectrum_check", problem=NO_DRIFT, T=1.0, grid=[[0, 3], [0, 5]]),
+        "resolution_h,n_interior,max_rel_residual,orthonormality_defect,"
+        "dirichlet_margin,lower_margin,upper_margin,ok", 2,
+        {"kind", "rows", "passed", "slack", "metadata"},
+        r"spectrum_check: passed=True"),
+}
+
+
 class TestOutputs:
-    def run_tiny(self, tmp_path, sub, extra=()):
+    def run_tiny(self, tmp_path, sub, extra=(), doc=TINY_STRONG):
         out = tmp_path / "out"
-        rc = cli.main([sub, "--config", doc_file(tmp_path, TINY_STRONG),
+        rc = cli.main([sub, "--config", doc_file(tmp_path, doc),
                        "--out", str(out), *extra])
         assert rc == 0
         return out
+
+    @pytest.mark.parametrize("sub", sorted(TINY_RUNS))
+    def test_output_layout(self, tmp_path, capsys, sub):
+        doc, header, n_rows, keys, line = TINY_RUNS[sub]
+        out = self.run_tiny(tmp_path, sub, doc=doc)
+        kind = sub.replace("-", "_")
+        csv = (out / f"{kind}.csv").read_text().splitlines()
+        assert csv[0] == header
+        assert len(csv) == 1 + n_rows
+        assert set(json.loads((out / "summary.json").read_text())) == keys
+        assert re.fullmatch(line, capsys.readouterr().out.rstrip("\n"))
 
     def test_strong_run_writes_csv_and_summary(self, tmp_path):
         out = self.run_tiny(tmp_path, "strong-rate")
