@@ -1,8 +1,9 @@
 """Command line front end: JSON study configs in, CSV plus summary.json out.
 
-All physics and statistics live in the other modules; this one validates
-config documents, dispatches, and serializes reports deterministically
-(17 significant digits, fixed row and key order). Timing and environment
+All physics and statistics live in the other modules, and each report
+lays out its own rows and summary; this one validates config documents,
+dispatches, and writes reports deterministically (17 significant digits,
+fixed row and key order). Timing and environment
 data go only to summary.json so the CSV files are byte-stable for a
 given config and seed.
 """
@@ -16,22 +17,22 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fem1d, harness
-from .drift import (DriftPolynomial, TamingParams, taming_inequality_suite,
-                    validate_params)
+from . import harness
+from .drift import DriftPolynomial, TamingParams, validate_params
 from .errors import (CapacityError, ConfigError, ConstraintError,
-                     InvalidArgumentError, NumericalBlowupError, SpdefemError)
-from .harness import (EquilibrationReport, MomentReport, RateReport,
-                      Resolution, SmoothingReport)
+                     InvalidArgumentError, NumericalBlowupError)
+from .harness import Resolution
 
-COMMANDS = {
-    "strong-rate": "strong_rate",
-    "weak-rate": "weak_rate",
-    "smoothing": "smoothing",
-    "longtime": "longtime",
-    "equilibrate": "equilibrate",
-    "taming-check": "taming_check",
-    "spectrum-check": "spectrum_check",
+# study kind -> (harness study, the study keys only this kind accepts); the
+# subcommand is the kind with dashes, and the study gets cfg plus the extras
+STUDIES = {
+    "strong_rate": (harness.strong_rate_study, {"reference"}),
+    "weak_rate": (harness.weak_rate_study, {"reference", "crn_tapes"}),
+    "smoothing": (harness.smoothing_study, {"times", "p"}),
+    "longtime": (harness.moment_study, set()),
+    "equilibrate": (harness.equilibration_study, {"initials"}),
+    "taming_check": (harness.taming_check_study, {"u_max", "u_step"}),
+    "spectrum_check": (harness.spectrum_check_study, set()),
 }
 
 _MC_KINDS = {"strong_rate", "weak_rate", "equilibrate", "longtime"}
@@ -42,15 +43,6 @@ _TAMING_KEYS = {"alpha", "theta", "rho", "beta1", "beta2"}
 _NOISE_KEYS = {"s", "K"}
 _STUDY_COMMON = {"kind", "T", "grid", "samples", "seed", "stride",
                  "observable", "window"}
-_STUDY_EXTRA = {
-    "strong_rate": {"reference"},
-    "weak_rate": {"reference", "crn_tapes"},
-    "smoothing": {"times", "p"},
-    "equilibrate": {"initials"},
-    "longtime": set(),
-    "taming_check": {"u_max", "u_step"},
-    "spectrum_check": set(),
-}
 
 
 # ------------------------------------------------------------- validation
@@ -174,8 +166,8 @@ def parse_document(doc, workers=1):
     st = doc["study"]
     _require(isinstance(st, dict) and "kind" in st, "study.kind is required")
     kind = st["kind"]
-    _require(kind in _STUDY_EXTRA, f"study.kind must be one of {sorted(_STUDY_EXTRA)}")
-    _check_keys(st, _STUDY_COMMON | _STUDY_EXTRA[kind], f"study (kind={kind})")
+    _require(kind in STUDIES, f"study.kind must be one of {sorted(STUDIES)}")
+    _check_keys(st, _STUDY_COMMON | STUDIES[kind][1], f"study (kind={kind})")
 
     grid = _parse_grid(st.get("grid"), "study.grid")
     reference = None
@@ -190,6 +182,8 @@ def parse_document(doc, workers=1):
                       required=kind in _MC_KINDS, default=1)
     seed = _number(st, "seed", "study", integer=True,
                    required=kind in _MC_KINDS or kind == "smoothing", default=0)
+    # the Philox key is an unsigned 64-bit integer
+    _require(0 <= seed < 2**64, f"study.seed must lie in [0, 2^64), got {seed}")
     stride = _number(st, "stride", "study", integer=True, default=1)
     observable = st.get("observable", harness.DEFAULT_OBSERVABLE)
     _require(isinstance(observable, str) and observable in harness.OBSERVABLES,
@@ -269,83 +263,6 @@ def load_document(spec_str):
         raise ConfigError(f"config is not valid JSON: {e}") from e
 
 
-# ----------------------------------------------------------- check studies
-
-def run_taming_check(cfg, extras):
-    n = int(round(extras["u_max"] / extras["u_step"]))
-    us = np.arange(-n, n + 1) * extras["u_step"]
-    rows = []
-    all_ok = True
-    for res in cfg.grid:
-        tau = cfg.T / 2**res.m
-        h = cfg.L / 2**res.h_exp
-        rep = taming_inequality_suite(cfg.drift, cfg.taming, tau, h, us)
-        ok = (rep.sign_ok and rep.dominated_ok and rep.approx_ok
-              and rep.monotone_tau_ok and rep.monotone_h_ok)
-        all_ok = all_ok and ok
-        rows.append({
-            "resolution_m": res.m, "resolution_h": h, "tau": tau,
-            "sign_ok": rep.sign_ok,
-            "dominated_margin": rep.dominated_margin,
-            "growth_constant": rep.growth_constant,
-            "approx_margin": rep.approx_margin,
-            "monotone_tau_ok": rep.monotone_tau_ok,
-            "monotone_h_ok": rep.monotone_h_ok,
-            "penalty_c0": rep.penalty_c0,
-            "penalty_c1": rep.penalty_c1,
-            "penalty_margin": rep.penalty_margin,
-            "ok": ok,
-        })
-    return {
-        "kind": cfg.kind, "rows": rows, "passed": all_ok,
-        "u_max": extras["u_max"], "u_step": extras["u_step"],
-        "metadata": {"kind": cfg.kind, "grid": [[r.m, r.h_exp] for r in cfg.grid],
-                     "T": cfg.T, "versions": harness._versions()},
-    }
-
-
-def run_spectrum_check(cfg):
-    """Per mesh: the spectrum's residual and M-orthonormality against the
-    assembled operators, and the eigenvalue bounds."""
-    slack = 1e-9
-    rows = []
-    all_ok = True
-    for res in cfg.grid:
-        mesh = fem1d.build_mesh(cfg.L, 2**res.h_exp - 1)
-        ops = fem1d.assemble_operators(mesh)
-        spec = fem1d.discrete_spectrum(ops)
-        lam = spec.lambdas
-        j = np.arange(1, lam.size + 1.0)
-        m_modes = fem1d.tridiag_matvec(ops.mass, spec.modes)
-        resid = fem1d.tridiag_matvec(ops.stiffness, spec.modes) - lam * m_modes
-        rel_resid = float(np.max(np.linalg.norm(resid, axis=0)
-                                 / (lam * np.linalg.norm(m_modes, axis=0))))
-        ortho = float(np.abs(spec.modes.T @ m_modes - np.eye(lam.size)).max())
-        dirichlet_margin = float(np.min(lam - (j * np.pi / cfg.L) ** 2))
-        ok = dirichlet_margin >= -slack and rel_resid <= 1e-8 and ortho <= 1e-8
-        row = {
-            "resolution_h": mesh.h, "n_interior": mesh.n_interior,
-            "max_rel_residual": rel_resid,
-            "orthonormality_defect": ortho,
-            "dirichlet_margin": dirichlet_margin,
-        }
-        if cfg.L == 1.0:
-            lower = float(np.min(lam - 4.0 * j**2))
-            upper = float(np.min(3.0 * np.pi**2 * j**2 - lam))
-            ok = ok and lower >= -slack and upper >= -slack
-            row["lower_margin"] = lower
-            row["upper_margin"] = upper
-        row["ok"] = ok
-        all_ok = all_ok and ok
-        rows.append(row)
-    return {
-        "kind": cfg.kind, "rows": rows, "passed": all_ok, "slack": slack,
-        "metadata": {"kind": cfg.kind, "L": cfg.L,
-                     "grid": [[r.m, r.h_exp] for r in cfg.grid],
-                     "versions": harness._versions()},
-    }
-
-
 # ------------------------------------------------------------ serialization
 
 def _cell(v):
@@ -358,65 +275,18 @@ def _cell(v):
     return format(float(v), ".17g")
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, rows):
+    header = list(rows[0])
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines += [",".join(_cell(row[k]) for k in header) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def write_report_csv(report, cfg, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    kind = cfg.kind
-    path = out_dir / f"{kind}.csv"
-    if isinstance(report, RateReport):
-        header = ["resolution_m", "resolution_h", "error", "stderr", "samples"]
-        rows = [(res.m, hh, err, se, cfg.samples)
-                for res, hh, err, se in zip(report.resolutions, report.hs,
-                                            report.errors, report.stderrs)]
-        _write_csv(path, header, rows)
-    elif isinstance(report, SmoothingReport):
-        header = ["resolution_m", "resolution_h", "t", "p", "error"]
-        rows = []
-        i = 0
-        times = cfg.times or (1.0,)
-        for res in cfg.grid:
-            for _ in times:
-                smp = report.samples[i]
-                rows.append((res.m, smp.h, smp.t_n, smp.p, smp.error))
-                i += 1
-        _write_csv(path, header, rows)
-    elif isinstance(report, EquilibrationReport):
-        header = ["t"]
-        for i in range(len(report.labels)):
-            header += [f"mean_ic{i}", f"stderr_ic{i}"]
-        rows = []
-        for ti, t in enumerate(report.times):
-            row = [t]
-            for i in range(len(report.labels)):
-                row += [report.means[i][ti], report.stderrs[i][ti]]
-            rows.append(row)
-        _write_csv(path, header, rows)
-    elif isinstance(report, MomentReport):
-        names = list(report.series)
-        header = ["t"]
-        for nm in names:
-            header += [f"{nm}_mean", f"{nm}_stderr"]
-        rows = []
-        for ti, t in enumerate(report.times):
-            row = [t]
-            for nm in names:
-                mean, se = report.series[nm]
-                row += [mean[ti], se[ti]]
-            rows.append(row)
-        _write_csv(path, header, rows)
-    elif isinstance(report, dict):
-        rows = report["rows"]
-        header = list(rows[0])
-        _write_csv(path, header, [[r[k] for k in header] for r in rows])
-    else:  # pragma: no cover
-        raise SpdefemError(f"no CSV writer for {type(report).__name__}")
+    path = out_dir / f"{cfg.kind}.csv"
+    _write_csv(path, report.rows())
     return path
 
 
@@ -434,70 +304,12 @@ def _jsonable(v):
     if isinstance(v, (float, np.floating)):
         f = float(v)
         return f if math.isfinite(f) else repr(f)
-    if isinstance(v, Resolution):
-        return [v.m, v.h_exp]
     return v
 
 
 def summary_dict(report):
-    """Flatten any study report into the summary.json document."""
-    if isinstance(report, RateReport):
-        d = {
-            "kind": report.metadata.get("kind"),
-            "fitted_order": report.fitted_order,
-            "fit_stderr": report.fit_stderr,
-            "window": report.window,
-            "passed": report.passed,
-            "axis": report.axis,
-            "resolutions": report.resolutions,
-            "taus": report.taus,
-            "hs": report.hs,
-            "errors": report.errors,
-            "stderrs": report.stderrs,
-            "flags": report.flags,
-            "metadata": report.metadata,
-        }
-    elif isinstance(report, SmoothingReport):
-        d = {
-            "kind": report.metadata.get("kind"),
-            "fitted_order": report.fitted_order,
-            "fit_stderr": report.fit_stderr,
-            "window": report.window,
-            "passed": report.passed,
-            "axis": report.axis,
-            "decay_ok": report.decay_ok,
-            "errors": [smp.error for smp in report.samples],
-            "metadata": report.metadata,
-        }
-    elif isinstance(report, EquilibrationReport):
-        d = {
-            "kind": report.metadata.get("kind"),
-            "labels": report.labels,
-            "window": report.window,
-            "window_means": report.window_means,
-            "window_stderrs": report.window_stderrs,
-            "pairwise": report.pairwise,
-            "passed": report.agreement,
-            "flags": report.flags,
-            "metadata": report.metadata,
-        }
-    elif isinstance(report, MomentReport):
-        trend_ok = all(tr["ok"] for tr in report.trends.values()) \
-            if all(tr["ok"] is not None for tr in report.trends.values()) else None
-        d = {
-            "kind": report.metadata.get("kind"),
-            "trend_window": report.trend_window,
-            "trends": report.trends,
-            "passed": trend_ok,
-            "final_values": {nm: report.series[nm][0][-1]
-                             for nm in report.series},
-            "metadata": report.metadata,
-        }
-    elif isinstance(report, dict):
-        d = dict(report)
-    else:  # pragma: no cover
-        raise SpdefemError(f"no summary writer for {type(report).__name__}")
-    return _jsonable(d)
+    """The summary.json document of any study report."""
+    return _jsonable(report.summary())
 
 
 def write_summary(report, out_dir):
@@ -512,46 +324,13 @@ def write_summary(report, out_dir):
 
 # -------------------------------------------------------------------- main
 
-def _dispatch(cfg, extras):
-    kind = cfg.kind
-    if kind == "strong_rate":
-        return harness.strong_rate_study(cfg)
-    if kind == "weak_rate":
-        return harness.weak_rate_study(cfg)
-    if kind == "smoothing":
-        return harness.smoothing_study(cfg)
-    if kind == "equilibrate":
-        return harness.equilibration_study(cfg)
-    if kind == "longtime":
-        return harness.moment_study(cfg)
-    if kind == "taming_check":
-        return run_taming_check(cfg, extras)
-    if kind == "spectrum_check":
-        return run_spectrum_check(cfg)
-    raise ConfigError(f"unknown study kind {kind!r}")  # pragma: no cover
-
-
-def _outcome_line(kind, doc):
-    if "fitted_order" in doc:
-        w = doc.get("window")
-        wtxt = "" if w is None else f" window={w}"
-        return (f"{kind}: fitted order {doc['fitted_order']:.4f} "
-                f"+/- {doc['fit_stderr']:.4f}{wtxt} passed={doc['passed']}")
-    if kind == "equilibrate":
-        return f"{kind}: window means {doc['window_means']} passed={doc['passed']}"
-    if kind == "longtime":
-        slopes = {nm: round(tr["slope"], 6) for nm, tr in doc["trends"].items()}
-        return f"{kind}: trend slopes {slopes} passed={doc['passed']}"
-    return f"{kind}: passed={doc.get('passed')}"
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="spdefem",
         description="Tamed implicit FEM studies for a semilinear SPDE in 1D")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run a {COMMANDS[name]} study")
+    for kind in STUDIES:
+        p = sub.add_parser(kind.replace("_", "-"), help=f"run a {kind} study")
         p.add_argument("--config", required=True,
                        help="path to a config document, or a preset name")
         p.add_argument("--out", default="out", help="output directory")
@@ -576,14 +355,14 @@ def main(argv=None):
             if args.samples is not None:
                 doc["study"]["samples"] = args.samples
         cfg, extras = parse_document(doc, workers=args.workers)
-        want = COMMANDS[args.command]
+        want = args.command.replace("-", "_")
         if cfg.kind != want:
             raise ConfigError(
                 f"study.kind is {cfg.kind!r} but the subcommand expects {want!r}")
-        report = _dispatch(cfg, extras)
+        report = STUDIES[cfg.kind][0](cfg, **extras)
         write_report_csv(report, cfg, args.out)
-        summary = write_summary(report, args.out)
-        print(_outcome_line(cfg.kind, summary))
+        write_summary(report, args.out)
+        print(f"{cfg.kind}: {report.outcome()}")
         return 0
     except (ConfigError, InvalidArgumentError, CapacityError) as e:
         # also what only the harness can check, e.g. a time off the step grid

@@ -24,6 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__, fem1d, noise, scheme
+from .drift import taming_inequality_suite
 from .errors import InvalidArgumentError
 from .smoothing_lab import rate_fit, rough_initial, smoothing_error
 
@@ -95,8 +96,8 @@ def make_study_config(**kw):
     cfg = StudyConfig(**kw)
     if not cfg.grid:
         raise InvalidArgumentError("empty resolution grid")
-    if not (cfg.T > 0 and cfg.samples >= 1 and cfg.stride >= 1):
-        raise InvalidArgumentError("need T > 0, samples >= 1, stride >= 1")
+    if not (cfg.T > 0 and cfg.samples >= 1 and cfg.stride >= 1 and cfg.workers >= 1):
+        raise InvalidArgumentError("need T > 0, samples >= 1, stride >= 1, workers >= 1")
     for r in cfg.grid:
         if r.m < 0 or r.h_exp < 1:
             raise InvalidArgumentError(f"bad resolution {r}")
@@ -348,6 +349,23 @@ def _window_for(cfg, axis):
     return DEFAULT_WINDOWS.get((cfg.kind, axis, white))
 
 
+# Every report lays itself out: rows() gives the CSV (one dict per row, keys
+# in column order), summary() the summary.json document before it is made
+# JSON-safe, and outcome() the one line printed after the study kind.
+
+def _fit_outcome(rep):
+    w = "" if rep.window is None else f" window={list(rep.window)}"
+    return (f"fitted order {rep.fitted_order:.4f} +/- {rep.fit_stderr:.4f}{w} "
+            f"passed={rep.passed}")
+
+
+def _time_rows(times, columns):
+    """One row per recorded time: t, then each named series at that time."""
+    names = ["t", *columns]
+    return [dict(zip(names, vals)) for vals in
+            zip(times.tolist(), *(c.tolist() for c in columns.values()))]
+
+
 @dataclass
 class RateReport:
     resolutions: tuple
@@ -362,6 +380,32 @@ class RateReport:
     passed: Optional[bool]
     flags: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
+
+    def rows(self):
+        samples = self.metadata["samples"]
+        return [{"resolution_m": res.m, "resolution_h": h, "error": err,
+                 "stderr": se, "samples": samples}
+                for res, h, err, se in zip(self.resolutions, self.hs,
+                                           self.errors, self.stderrs)]
+
+    def summary(self):
+        return {
+            "kind": self.metadata.get("kind"),
+            "fitted_order": self.fitted_order,
+            "fit_stderr": self.fit_stderr,
+            "window": self.window,
+            "passed": self.passed,
+            "axis": self.axis,
+            "resolutions": [[r.m, r.h_exp] for r in self.resolutions],
+            "taus": self.taus,
+            "hs": self.hs,
+            "errors": self.errors,
+            "stderrs": self.stderrs,
+            "flags": self.flags,
+            "metadata": self.metadata,
+        }
+
+    outcome = _fit_outcome
 
 
 def fit_report(cfg, errors, stderrs, metadata, flags=None):
@@ -502,6 +546,29 @@ class EquilibrationReport:
     flags: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
+    def rows(self):
+        columns = {}
+        for i in range(len(self.labels)):
+            columns[f"mean_ic{i}"] = self.means[i]
+            columns[f"stderr_ic{i}"] = self.stderrs[i]
+        return _time_rows(self.times, columns)
+
+    def summary(self):
+        return {
+            "kind": self.metadata.get("kind"),
+            "labels": self.labels,
+            "window": self.window,
+            "window_means": self.window_means,
+            "window_stderrs": self.window_stderrs,
+            "pairwise": self.pairwise,
+            "passed": self.agreement,
+            "flags": self.flags,
+            "metadata": self.metadata,
+        }
+
+    def outcome(self):
+        return f"window means {self.window_means.tolist()} passed={self.agreement}"
+
 
 def _initial_label(modes):
     if modes is None:
@@ -586,6 +653,32 @@ class MomentReport:
     trends: dict             # name -> {"slope": .., "stderr": .., "ok": bool}
     metadata: dict = field(default_factory=dict)
 
+    @property
+    def passed(self):
+        oks = [tr["ok"] for tr in self.trends.values()]
+        return None if None in oks else all(oks)
+
+    def rows(self):
+        columns = {}
+        for nm, (mean, se) in self.series.items():
+            columns[f"{nm}_mean"] = mean
+            columns[f"{nm}_stderr"] = se
+        return _time_rows(self.times, columns)
+
+    def summary(self):
+        return {
+            "kind": self.metadata.get("kind"),
+            "trend_window": self.trend_window,
+            "trends": self.trends,
+            "passed": self.passed,
+            "final_values": {nm: mean[-1] for nm, (mean, _) in self.series.items()},
+            "metadata": self.metadata,
+        }
+
+    def outcome(self):
+        slopes = {nm: round(tr["slope"], 6) for nm, tr in self.trends.items()}
+        return f"trend slopes {slopes} passed={self.passed}"
+
 
 def moment_study(cfg, horizon_multiplier=1):
     """Long-horizon moment tracking with a second-half trend test.
@@ -642,6 +735,7 @@ def moment_study(cfg, horizon_multiplier=1):
 @dataclass
 class SmoothingReport:
     samples: list            # SmoothingErrorSample rows in deterministic order
+    resolutions: tuple       # the grid entry of each sample
     axis: str
     fitted_order: float
     fit_stderr: float
@@ -649,6 +743,26 @@ class SmoothingReport:
     decay_ok: Optional[bool]
     passed: Optional[bool]
     metadata: dict = field(default_factory=dict)
+
+    def rows(self):
+        return [{"resolution_m": res.m, "resolution_h": smp.h, "t": smp.t_n,
+                 "p": smp.p, "error": smp.error}
+                for res, smp in zip(self.resolutions, self.samples)]
+
+    def summary(self):
+        return {
+            "kind": self.metadata.get("kind"),
+            "fitted_order": self.fitted_order,
+            "fit_stderr": self.fit_stderr,
+            "window": self.window,
+            "passed": self.passed,
+            "axis": self.axis,
+            "decay_ok": self.decay_ok,
+            "errors": [smp.error for smp in self.samples],
+            "metadata": self.metadata,
+        }
+
+    outcome = _fit_outcome
 
 
 def smoothing_study(cfg, rough_modes=256):
@@ -663,6 +777,7 @@ def smoothing_study(cfg, rough_modes=256):
     v = rough_initial(rough_modes, cfg.seed, cfg.L)
     t0 = time.perf_counter()
     rows = []
+    row_res = []
     fit_pts = []
     decay_ok = True if len(times) > 1 else None
     for res in cfg.grid:
@@ -676,6 +791,7 @@ def smoothing_study(cfg, rough_modes=256):
                     f"time {t} is not a step multiple of tau={tau}")
             smp = smoothing_error(ops, tau, int(round(n)), cfg.p, v)
             rows.append(smp)
+            row_res.append(res)
             per_time.append(smp.error)
         fit_pts.append((tau if axis == "tau" else ops.mesh.h, per_time[0]))
         if len(times) > 1 and per_time[-1] > per_time[0]:
@@ -692,6 +808,100 @@ def smoothing_study(cfg, rough_modes=256):
     meta["p"] = cfg.p
     meta["times"] = list(times)
     meta["rough_modes"] = rough_modes
-    return SmoothingReport(samples=rows, axis=axis, fitted_order=fit.slope,
-                           fit_stderr=fit.stderr, window=window,
-                           decay_ok=decay_ok, passed=passed, metadata=meta)
+    return SmoothingReport(samples=rows, resolutions=tuple(row_res), axis=axis,
+                           fitted_order=fit.slope, fit_stderr=fit.stderr,
+                           window=window, decay_ok=decay_ok, passed=passed,
+                           metadata=meta)
+
+
+# ------------------------------------------------------------------ checks
+
+@dataclass
+class CheckReport:
+    """A table of pass/fail checks, one row per grid entry."""
+
+    kind: str
+    table: list              # one dict per row, keys in column order
+    passed: bool
+    params: dict             # the check's own settings, as top-level summary keys
+    metadata: dict
+
+    def rows(self):
+        return self.table
+
+    def summary(self):
+        return {"kind": self.kind, "rows": self.table, "passed": self.passed,
+                **self.params, "metadata": self.metadata}
+
+    def outcome(self):
+        return f"passed={self.passed}"
+
+
+def taming_check_study(cfg, u_max, u_step):
+    """The taming inequalities of every grid entry's (tau, h) on a scan of u."""
+    n = int(round(u_max / u_step))
+    us = np.arange(-n, n + 1) * u_step
+    rows = []
+    all_ok = True
+    for res in cfg.grid:
+        tau = _tau_for(cfg, res)
+        h = cfg.L / 2**res.h_exp
+        rep = taming_inequality_suite(cfg.drift, cfg.taming, tau, h, us)
+        ok = (rep.sign_ok and rep.dominated_ok and rep.approx_ok
+              and rep.monotone_tau_ok and rep.monotone_h_ok)
+        all_ok = all_ok and ok
+        rows.append({
+            "resolution_m": res.m, "resolution_h": h, "tau": tau,
+            "sign_ok": rep.sign_ok,
+            "dominated_margin": rep.dominated_margin,
+            "growth_constant": rep.growth_constant,
+            "approx_margin": rep.approx_margin,
+            "monotone_tau_ok": rep.monotone_tau_ok,
+            "monotone_h_ok": rep.monotone_h_ok,
+            "penalty_c0": rep.penalty_c0,
+            "penalty_c1": rep.penalty_c1,
+            "penalty_margin": rep.penalty_margin,
+            "ok": ok,
+        })
+    meta = {"kind": cfg.kind, "grid": [[r.m, r.h_exp] for r in cfg.grid],
+            "T": cfg.T, "versions": _versions()}
+    return CheckReport(cfg.kind, rows, all_ok, {"u_max": u_max, "u_step": u_step}, meta)
+
+
+def spectrum_check_study(cfg):
+    """Per mesh: the spectrum's residual and M-orthonormality against the
+    assembled operators, and the eigenvalue bounds."""
+    slack = 1e-9
+    rows = []
+    all_ok = True
+    for res in cfg.grid:
+        mesh = _mesh_for(cfg, res)
+        ops = fem1d.assemble_operators(mesh)
+        spec = fem1d.discrete_spectrum(ops)
+        lam = spec.lambdas
+        j = np.arange(1, lam.size + 1.0)
+        m_modes = fem1d.tridiag_matvec(ops.mass, spec.modes)
+        resid = fem1d.tridiag_matvec(ops.stiffness, spec.modes) - lam * m_modes
+        rel_resid = float(np.max(np.linalg.norm(resid, axis=0)
+                                 / (lam * np.linalg.norm(m_modes, axis=0))))
+        ortho = float(np.abs(spec.modes.T @ m_modes - np.eye(lam.size)).max())
+        dirichlet_margin = float(np.min(lam - (j * np.pi / cfg.L) ** 2))
+        ok = dirichlet_margin >= -slack and rel_resid <= 1e-8 and ortho <= 1e-8
+        row = {
+            "resolution_h": mesh.h, "n_interior": mesh.n_interior,
+            "max_rel_residual": rel_resid,
+            "orthonormality_defect": ortho,
+            "dirichlet_margin": dirichlet_margin,
+        }
+        if cfg.L == 1.0:
+            lower = float(np.min(lam - 4.0 * j**2))
+            upper = float(np.min(3.0 * np.pi**2 * j**2 - lam))
+            ok = ok and lower >= -slack and upper >= -slack
+            row["lower_margin"] = lower
+            row["upper_margin"] = upper
+        row["ok"] = ok
+        all_ok = all_ok and ok
+        rows.append(row)
+    meta = {"kind": cfg.kind, "L": cfg.L, "grid": [[r.m, r.h_exp] for r in cfg.grid],
+            "versions": _versions()}
+    return CheckReport(cfg.kind, rows, all_ok, {"slack": slack}, meta)

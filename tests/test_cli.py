@@ -49,7 +49,7 @@ class TestDocumentParsing:
     def test_every_packaged_preset_parses(self, name):
         doc = json.loads((resources.files("spdefem") / "presets" / name).read_text())
         cfg, extras = cli.parse_document(doc)
-        assert cfg.kind in set(cli.COMMANDS.values())
+        assert cfg.kind in cli.STUDIES
 
     def test_unknown_top_level_key(self):
         doc = copy.deepcopy(TINY_STRONG)
@@ -133,17 +133,35 @@ class TestMainExitCodes:
         ("smoothing", "smoothing_spatial", "p", -math.inf, "study.p"),
         ("smoothing", "smoothing_spatial", "times", [math.inf], "study.times"),
         ("smoothing", "smoothing_spatial", "times", [math.nan], "study.times"),
+        # the Philox key is a uint64
+        ("strong-rate", None, "seed", -1, "study.seed"),
+        ("strong-rate", None, "--seed", 2**64, "study.seed"),
+        ("strong-rate", None, "--workers", -3, "workers >= 1"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, sub, preset, key, value,
                                      field):
         doc = copy.deepcopy(TINY_STRONG) if preset is None else cli.load_document(preset)
-        # key is "section.name", or a bare name in study
-        section, _, name = key.rpartition(".")
-        doc[section or "study"][name] = value
+        flags = []
+        if key.startswith("--"):
+            flags = [key, str(value)]
+        else:
+            # key is "section.name", or a bare name in study
+            section, _, name = key.rpartition(".")
+            doc[section or "study"][name] = value
         rc = cli.main([sub, "--config", doc_file(tmp_path, doc),
-                       "--out", str(tmp_path / "out")])
+                       "--out", str(tmp_path / "out"), *flags])
         assert rc == 2
         assert field in capsys.readouterr().err
+
+    def test_degenerate_fit_exits_0(self, tmp_path, capsys):
+        # no drift and no noise: every resolution gives the same observable
+        doc = dict(tiny_doc("weak_rate", problem=NO_DRIFT, T=0.25,
+                            grid=[[3, 3], [4, 3], [5, 3]], reference=[8, 3],
+                            samples=2, seed=1), noise=None)
+        rc = cli.main(["weak-rate", "--config", doc_file(tmp_path, doc),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert "fitted order nan +/- nan" in capsys.readouterr().out
 
     def test_kind_subcommand_mismatch_exits_2(self, tmp_path):
         rc = cli.main(["weak-rate", "--config", doc_file(tmp_path, TINY_STRONG),
