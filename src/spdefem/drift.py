@@ -103,10 +103,9 @@ def constraint_thresholds(q, d):
     }
 
 
-def classify_params(poly, params, d=None):
+def classify_params(poly, params):
     """Report the exponent products against every threshold form."""
-    d = poly.d if d is None else d
-    t = constraint_thresholds(poly.q, d)
+    t = constraint_thresholds(poly.q, poly.d)
     prod_theta = params.alpha * params.theta
     prod_rho = params.alpha * params.rho / 2.0
     worst = max(prod_theta, prod_rho)
@@ -118,15 +117,14 @@ def classify_params(poly, params, d=None):
     }
 
 
-def validate_params(poly, params, d=None):
+def validate_params(poly, params):
     """Enforce max{alpha*theta, alpha*rho/2} < 1 + d/(4q(2q-1)) - d/4.
 
     This is the strictest of the published threshold variants; passing it
     is sufficient for all of them. Raises ConstraintError naming the
     offending product, returns the params unchanged on success.
     """
-    d = poly.d if d is None else d
-    info = classify_params(poly, params, d)
+    info = classify_params(poly, params)
     if not info["passes"]["strict"]:
         t = info["thresholds"]["strict"]
         if info["alpha_theta"] >= info["alpha_rho_half"]:
@@ -135,7 +133,7 @@ def validate_params(poly, params, d=None):
             offender = f"alpha*rho/2 = {info['alpha_rho_half']:.6g}"
         raise ConstraintError(
             f"taming exponent constraint violated: {offender} must be "
-            f"< 1 + d/(4q(2q-1)) - d/4 = {t:.10g} (q={poly.q}, d={d})"
+            f"< 1 + d/(4q(2q-1)) - d/4 = {t:.10g} (q={poly.q}, d={poly.d})"
         )
     return params
 
@@ -183,21 +181,18 @@ class TamingSuiteReport:
         return self.approx_margin <= 0.0
 
 
-def taming_inequality_suite(poly, params, tau, h, us, vs=None):
+def taming_inequality_suite(poly, params, tau, h, us):
     """Empirical margins for the algebraic properties of the tamed drift.
 
-    us is the scan grid for the single-variable inequalities. vs (default:
-    a coarse subsample of us) pairs with every u for the one-sided
+    us is the scan grid for the single-variable inequalities. vs, a coarse
+    subsample of us, pairs with every u for the one-sided
     quadratic-penalty scan; its constants are existential in the theory,
     so the suite fits c1 given c0 = 1 and reports the attained margin.
     """
     us = np.asarray(us, dtype=float)
     if us.size == 0:
         raise InvalidArgumentError("empty scan grid")
-    if vs is None:
-        step = max(1, us.size // 201)
-        vs = us[::step]
-    vs = np.asarray(vs, dtype=float)
+    vs = us[::max(1, us.size // 201)]
 
     f = eval_f(poly, us)
     ft = eval_f_tamed(poly, params, tau, h, us)

@@ -129,13 +129,6 @@ class TriFactor:
         return dpttrs(self._d, self._e, rhs)[0]
 
 
-def element_quad_points(mesh):
-    """Quadrature abscissae per element, shape (n_elements, 4)."""
-    n_el = mesh.n_interior + 1
-    left = np.arange(n_el) * mesh.h
-    return left[:, None] + mesh.h * QUAD_R[None, :]
-
-
 def interpolant_at_quad(mesh, v):
     """P1 interpolant values at the element quadrature points.
 
@@ -152,6 +145,7 @@ def interpolant_at_quad(mesh, v):
     return vals[:, :, 0] if squeeze else vals
 
 
+# used only by scheme.drift_load; benchmarks/ looks it up until ROADMAP item 1
 def quad_load(mesh, fvals):
     """Assemble the load vector from integrand values at quadrature points.
 

@@ -25,7 +25,7 @@ import scipy
 
 from . import __version__, fem1d, noise, scheme
 from .drift import taming_inequality_suite
-from .errors import InvalidArgumentError
+from .errors import CapacityError, InvalidArgumentError
 from .smoothing_lab import rate_fit, rough_initial, smoothing_error
 
 BLOCK = 64
@@ -116,6 +116,9 @@ def make_study_config(**kw):
         )
     if cfg.drift is not None and cfg.taming is None:
         raise InvalidArgumentError("taming parameters required with a drift")
+    if any(b <= a for a, b in zip(cfg.times, cfg.times[1:])):
+        raise InvalidArgumentError(
+            f"study.times must be strictly increasing, got {list(cfg.times)}")
     return cfg
 
 
@@ -409,7 +412,8 @@ class RateReport:
 
 
 def fit_report(cfg, errors, stderrs, metadata, flags=None):
-    """Assemble a RateReport from per-resolution errors.
+    """Assemble a RateReport from per-resolution errors; a zero error
+    flags it degenerate and zero_error, with a nan order (no log-log fit).
 
     Also the test hook: feed synthetic errors through the same fitting
     and pass/fail logic the real studies use.
@@ -421,14 +425,16 @@ def fit_report(cfg, errors, stderrs, metadata, flags=None):
     errors = np.asarray(errors, dtype=float)
     stderrs = np.asarray(stderrs, dtype=float)
     flags = dict(flags or {})
+    if np.any(errors <= 0) and not flags.get("degenerate"):
+        flags["degenerate"] = True
+        flags["zero_error"] = True
     window = _window_for(cfg, axis)
+    passed = None
     if flags.get("degenerate"):
         order, stderr = float("nan"), float("nan")
-        passed = None
     else:
         fit = rate_fit(list(zip(res_axis, errors)))
         order, stderr = fit.slope, fit.stderr
-        passed = None
         if window is not None:
             lo, hi = window
             passed = bool(order >= lo and (hi is None or order <= hi))
@@ -523,9 +529,6 @@ def weak_rate_study(cfg):
                     vals[g].var(ddof=1) / n + vals[-1].var(ddof=1) / n)
             else:
                 stderrs[g] = 0.0
-    if np.any(errors <= 0) and not flags.get("degenerate"):
-        flags["degenerate"] = True
-        flags["zero_error"] = True
     meta = _metadata(cfg, noise_model_for(cfg), time.perf_counter() - t0)
     return fit_report(cfg, errors, stderrs, meta, flags)
 
@@ -837,9 +840,18 @@ class CheckReport:
         return f"passed={self.passed}"
 
 
+# points of the taming check's scan of u (the preset's has 20 001); its
+# penalty scan holds about 202 times as many floats, 64 MB at the cap
+MAX_SCAN_POINTS = 40_001
+
+
 def taming_check_study(cfg, u_max, u_step):
     """The taming inequalities of every grid entry's (tau, h) on a scan of u."""
-    n = int(round(u_max / u_step))
+    ratio = u_max / u_step
+    if not ratio < MAX_SCAN_POINTS / 2:     # 2 round(ratio) + 1 <= the cap; not nan
+        raise CapacityError(f"taming scan of about {2 * ratio + 1:.3g} points (study.u_max"
+                            f" / study.u_step) exceeds MAX_SCAN_POINTS = {MAX_SCAN_POINTS}")
+    n = int(round(ratio))
     us = np.arange(-n, n + 1) * u_step
     rows = []
     all_ok = True

@@ -136,6 +136,7 @@ def chunk_rows(steps, row_floats, min_rows):
     return min(steps, max(min_rows, rows))
 
 
+# unused by the package: benchmarks/tracing.py wraps it until ROADMAP item 1
 def sample_tape_coeffs(model, master_seed, T, finest_steps, context=0):
     """The (finest_steps, K) coefficient array of a tape, no wrapper."""
     steps = int(finest_steps)

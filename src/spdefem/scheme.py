@@ -8,9 +8,9 @@ so the linear part is implicit (unconditionally stable, no stepsize-ratio
 restriction) while the tamed drift is explicit. The shifted matrix is
 factorized once per run.
 
-State vectors may be (n,) or (n, B); everything broadcasts over a
-trailing batch axis, which is how the Monte Carlo harness runs whole
-blocks of samples in lockstep.
+There is one way to step: Stepper's noise_loads, step_loads and finish.
+States are (n,) or (n, B); everything broadcasts over a trailing batch
+axis, which is how the harness runs whole blocks of samples in lockstep.
 """
 
 import functools
@@ -24,8 +24,7 @@ from . import fem1d
 from .drift import eval_f_tamed, one_sided_constant, validate_params
 from .errors import InvalidArgumentError, NumericalBlowupError
 from .fem1d import QUAD_R, QUAD_W, TriDiagSym, TriFactor
-# bound here for benchmarks/tracing.py, which wraps scheme.tridiag_matvec and
-# scheme.coarsen_coeffs
+# bound here only for benchmarks/tracing.py to wrap, until ROADMAP item 1
 from .fem1d import tridiag_matvec  # noqa: F401
 from .noise import coarsen_coeffs  # noqa: F401
 
@@ -82,6 +81,7 @@ def shifted_operator(config):
     return TriFactor(shifted_tridiag(config.ops, config.tau))
 
 
+# the fused kernel's oracle; benchmarks/tracing.py wraps it until ROADMAP item 1
 def drift_load(config, x):
     """Load vector of the tamed drift at the current state.
 
@@ -96,16 +96,6 @@ def drift_load(config, x):
     vq = fem1d.interpolant_at_quad(mesh, x)
     fq = eval_f_tamed(config.drift, config.taming, config.tau, mesh.h, vq)
     return fem1d.quad_load(mesh, fq)
-
-
-def step(config, state, inc_load):
-    """Advance one step from state. inc_load is the assembled noise load vector."""
-    inc_load = np.asarray(inc_load, dtype=float)
-    if inc_load.shape[0] != config.ops.mesh.n_interior:
-        raise InvalidArgumentError("noise load does not match the mesh")
-    stepper = Stepper(config, 1, start=state)
-    stepper.step(inc_load)
-    return stepper.finish()[0]
 
 
 @dataclass
@@ -126,14 +116,11 @@ class ObservableRecord:
     l_high: Optional[np.ndarray] = None     # L^{2q(2q-1)} norm
     hgamma_sq: Optional[np.ndarray] = None  # squared H^gamma seminorm
     phi: Optional[np.ndarray] = None
-    gamma: Optional[float] = None
-    stride: int = 1
 
 
 class _Recorder:
     def __init__(self, config, spec):
         self.spec = spec
-        self.config = config
         self.ops = config.ops
         self.high_p = None
         if spec.norms and config.drift is not None:
@@ -163,21 +150,7 @@ class _Recorder:
             l_high=pack(self.lh),
             hgamma_sq=pack(self.hg),
             phi=pack(self.ph),
-            gamma=self.spec.gamma,
-            stride=self.spec.stride,
         )
-
-
-def _normalize_increments(config, increments, n_steps):
-    """Return the (steps, K[, B]) coefficient array driving the run."""
-    if increments is None:
-        if n_steps is None:
-            raise InvalidArgumentError("zero-noise run needs n_steps")
-        return np.zeros((int(n_steps), 1))      # one zero load for every column
-    arr = np.asarray(increments, dtype=float)
-    if arr.ndim < 2:
-        raise InvalidArgumentError("coefficient array must be (steps, K[, B])")
-    return arr
 
 
 def _tame_quartic_root(u, c):
@@ -219,17 +192,16 @@ class _Work:
 class Stepper:
     """A run of the scheme over a driving path handed in consecutive chunks.
 
-    advance() takes the next (steps, K[, B]) rows of the path; advancing
-    chunk after chunk gives bit for bit the state and record of advancing
-    once over the whole path. advance() is noise_loads() then
-    step_loads(), and the two may run apart: the block driver assembles
-    the loads on a helper thread. batch replicates the initial state: a
-    1-D state into B columns, a 2-D (n, S) state of S starts into S
-    column groups of B, start i in columns [i B, (i+1) B). Every group
-    steps on the same (n, B) loads, so one stepper runs several starts
-    on one driving path. start (a SchemeState) begins the run at that
-    state and step instead of the config's initial state at step 0.
-    Recording never affects the dynamics.
+    From the config's initial state, noise_loads() assembles the loads of
+    the next (steps, K[, B]) rows of the path and step_loads() steps on
+    them; the two may run apart (the block driver assembles the loads on a
+    helper thread). Stepping chunk after chunk gives bit for bit the state
+    and record of stepping once over the whole path; finish() returns
+    them. batch replicates the initial state: a 1-D state into B columns,
+    a 2-D (n, S) state of S starts into S column groups of B, start i in
+    columns [i B, (i+1) B). Every group steps on the same (n, B) loads, so
+    one stepper runs several starts on one driving path. Recording never
+    affects the dynamics.
 
     Each step_loads() allocates its work arrays once and runs every step
     in them: the tamed drift is interpolated, evaluated, tamed and
@@ -238,18 +210,17 @@ class Stepper:
     result is the one array a step allocates).
     """
 
-    def __init__(self, config, K, batch=None, record_spec=None, start=None):
+    def __init__(self, config, K, batch=None, record_spec=None):
         self.config = config
         ops = config.ops
         n = ops.mesh.n_interior
-        x = np.asarray(config.initial if start is None else start.x, dtype=float)
+        x = np.asarray(config.initial, dtype=float)
         if batch is not None:
             x = np.repeat(x.reshape(n, -1), batch, axis=1)   # start-major
         self._loadmat = fem1d.sine_load_matrix(ops.mesh, K)
         self._shifted = shifted_operator(config)
-        width = 1 if x.ndim == 1 else x.shape[1]
-        self._x = x.reshape(n, width).copy()     # the state, one column per path
-        self._view = self._x[:, 0] if x.ndim == 1 else self._x   # the state as given
+        self._x = x.reshape(n, -1).copy()     # the state, one column per path
+        self._view = self._x[:, 0] if x.ndim == 1 else self._x   # 1-D for run, ROADMAP item 1
         M = ops.mass
         # M x = main x + lo (x shifted down) + hi (x shifted up), on the padded state
         self._mass = (M.main[:, None], np.r_[0.0, M.off][:, None],
@@ -274,13 +245,10 @@ class Stepper:
                     _tame_general, c=c, alpha=tp.alpha,
                     expo=(2.0 * config.drift.q - 2.0) / tp.alpha)
         self._rec = _Recorder(config, record_spec) if record_spec is not None else None
-        self._m = 0 if start is None else start.m
+        self._m = 0
         self._warned = False
         if self._rec is not None:
-            self._rec.grab(self._m * config.tau, self._view)
-
-    def _work(self):
-        return _Work(*self._x.shape, self.config.drift is not None)
+            self._rec.grab(0.0, self._view)
 
     def _drift_from_pad(self, w):
         """tau * drift_load at the state held in w.pad, as (n, B) in w.tmp."""
@@ -303,15 +271,6 @@ class Stepper:
         loads = loads.reshape(2, *vq.shape[1:])
         # element e feeds its rising part to node e and its falling part to node e-1
         return np.add(loads[0, :-1], loads[1, 1:], out=w.tmp)
-
-    def drift_term(self, x):
-        """tau * drift_load(config, x) through the fused kernel (config with a drift).
-
-        x is (n,) or (n, B) with the stepper's batch width; so is the result.
-        """
-        w = self._work()
-        w.pad[1:-1] = np.reshape(x, self._x.shape)
-        return self._drift_from_pad(w).reshape(np.shape(x))
 
     def _step(self, w, load):
         # load (n, B) is only read: one load set may drive several legs
@@ -344,10 +303,6 @@ class Stepper:
         if self._rec is not None and m % self._rec.spec.stride == 0:
             self._rec.grab(m * config.tau, self._view)
 
-    def step(self, load):
-        """One step of the scheme with the assembled noise load, (n,) or (n, B)."""
-        self._step(self._work(), np.reshape(load, (len(load), -1)))
-
     def noise_loads(self, coeffs, out=None):
         """The noise loads of (steps, K) or (steps, K, B) path rows, as (steps, n, B).
 
@@ -360,13 +315,9 @@ class Stepper:
 
     def step_loads(self, loads):
         """Step once per assembled (n, B) load of loads, shape (steps, n, B)."""
-        w = self._work()
+        w = _Work(*self._x.shape, self.config.drift is not None)
         for load in loads:
             self._step(w, load)
-
-    def advance(self, coeffs):
-        """Step once per row of the next (steps, K) or (steps, K, B) rows of the path."""
-        self.step_loads(self.noise_loads(coeffs))
 
     def finish(self):
         """The final state and the ObservableRecord (None without a record_spec)."""
@@ -374,17 +325,23 @@ class Stepper:
         return state, (self._rec.finish() if self._rec is not None else None)
 
 
+# unused by the package: benchmarks/tracing.py wraps it until ROADMAP item 1
 def run(config, tape_or_increments, record_spec=None, n_steps=None):
-    """Iterate the scheme over a whole driving path.
+    """Iterate the scheme over a whole driving path with one Stepper.
 
     tape_or_increments: a (steps, K[, B]) coefficient array at step tau
     (noise.coarsen_coeffs brings a finer tape to tau), or None for a
     zero-noise run of n_steps. Returns the final state and the
-    ObservableRecord (None if no record_spec given). Recording never
-    affects the dynamics.
+    ObservableRecord (None if no record_spec given).
     """
-    coeffs = _normalize_increments(config, tape_or_increments, n_steps)
+    if tape_or_increments is None:
+        if n_steps is None:
+            raise InvalidArgumentError("zero-noise run needs n_steps")
+        tape_or_increments = np.zeros((int(n_steps), 1))   # one zero load, every column
+    coeffs = np.asarray(tape_or_increments, dtype=float)
+    if coeffs.ndim < 2:
+        raise InvalidArgumentError("coefficient array must be (steps, K[, B])")
     batch = coeffs.shape[2] if coeffs.ndim == 3 else None
     stepper = Stepper(config, coeffs.shape[1], batch, record_spec)
-    stepper.advance(coeffs)
+    stepper.step_loads(stepper.noise_loads(coeffs))
     return stepper.finish()

@@ -29,9 +29,6 @@ class SpectralFunction:
     L: float
     coeffs: np.ndarray
 
-    def l2_norm(self):
-        return float(np.sqrt(np.sum(np.asarray(self.coeffs) ** 2)))
-
 
 @dataclass(frozen=True)
 class SmoothingErrorSample:
@@ -55,6 +52,7 @@ def exact_semigroup(v, t):
     return SpectralFunction(L=v.L, coeffs=np.asarray(v.coeffs) * np.exp(-lam * t))
 
 
+# the tests' oracle; benchmarks/tracing.py wraps it until ROADMAP item 1
 def evaluate_spectral(v, x):
     """Pointwise values of the series at locations x (any array shape)."""
     x = np.asarray(x, dtype=float)

@@ -15,7 +15,7 @@ import numpy as np
 from spdefem import fem1d, harness, noise
 from spdefem.smoothing_lab import evaluate_spectral, exact_semigroup
 
-from dense_reference import dense_eigenpairs
+from dense_reference import dense_eigenpairs, element_quad_points
 
 
 def _spectral_coeffs(ops, x):
@@ -78,7 +78,7 @@ def semidiscrete_smoothing_error(ops, t, v):
     mesh = ops.mesh
     lam, modes, c = _spectral_coeffs(ops, fem1d.project_sine_coeffs(ops, v.coeffs))
     xh = modes @ (np.exp(-t * lam) * c)
-    dq = (evaluate_spectral(exact_semigroup(v, t), fem1d.element_quad_points(mesh))
+    dq = (evaluate_spectral(exact_semigroup(v, t), element_quad_points(mesh))
           - fem1d.interpolant_at_quad(mesh, xh))
     return float(np.sqrt(mesh.h * np.einsum("q,eq->", fem1d.QUAD_W, dq**2)))
 

@@ -17,7 +17,15 @@ import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
 from spdefem import fem1d
+from spdefem.fem1d import QUAD_R
 from spdefem.smoothing_lab import discrete_propagator, evaluate_spectral, exact_semigroup
+
+
+def element_quad_points(mesh):
+    """Quadrature abscissae per element, shape (n_elements, 4)."""
+    n_el = mesh.n_interior + 1
+    left = np.arange(n_el) * mesh.h
+    return left[:, None] + mesh.h * QUAD_R[None, :]
 
 
 def hat(x, center, h):
@@ -165,7 +173,7 @@ def dense_smoothing_error(ops, tau, n, p, v):
     mesh = ops.mesh
     ex = exact_semigroup(v, n * tau)
     xd = discrete_propagator(ops, tau, n, v)
-    dq = (evaluate_spectral(ex, fem1d.element_quad_points(mesh))
+    dq = (evaluate_spectral(ex, element_quad_points(mesh))
           - fem1d.interpolant_at_quad(mesh, xd))
     if np.isinf(p):
         node_diff = evaluate_spectral(ex, mesh.nodes) - xd

@@ -27,6 +27,7 @@ from spdefem.smoothing_lab import rate_fit, rough_initial
 from closed_forms import (drift_free_weak_errors, semidiscrete_smoothing_error,
                           time_only_smoothing_error)
 from dense_reference import dense_one_step
+from stepping import one_step
 
 RESULTS = []
 
@@ -222,7 +223,7 @@ def test_c09_dense_oracle_equivalence():
         poly = drift.DriftPolynomial(q=2, coeffs=coeffs)
         cfg = scheme.make_scheme_config(ops, poly, AC_TAMING, tau, x0)
         load = fem1d.sine_load_matrix(ops.mesh, K) @ inc
-        got = scheme.step(cfg, scheme.SchemeState(0, x0, 0.0), load).x
+        got = one_step(cfg, load)
         expect = dense_one_step(x0, inc, L, tau, coeffs, 2,
                                 0.25, 1.0, 2.0, 1.0, 1.0)
         rel = float(np.linalg.norm(got - expect)

@@ -133,6 +133,11 @@ class TestMainExitCodes:
         ("smoothing", "smoothing_spatial", "p", -math.inf, "study.p"),
         ("smoothing", "smoothing_spatial", "times", [math.inf], "study.times"),
         ("smoothing", "smoothing_spatial", "times", [math.nan], "study.times"),
+        # out of order, the fit would be taken at the wrong time
+        ("smoothing", "smoothing_temporal", "times", [4.0, 1.0], "study.times"),
+        ("smoothing", "smoothing_temporal", "times", [1.0, 1.0], "study.times"),
+        # a 2e11-point scan, refused before anything is allocated
+        ("taming-check", "taming_check", "u_step", 1e-9, "study.u_step"),
         # the Philox key is a uint64
         ("strong-rate", None, "seed", -1, "study.seed"),
         ("strong-rate", None, "--seed", 2**64, "study.seed"),
@@ -153,12 +158,14 @@ class TestMainExitCodes:
         assert rc == 2
         assert field in capsys.readouterr().err
 
-    def test_degenerate_fit_exits_0(self, tmp_path, capsys):
-        # no drift and no noise: every resolution gives the same observable
-        doc = dict(tiny_doc("weak_rate", problem=NO_DRIFT, T=0.25,
+    @pytest.mark.parametrize("sub", ["strong-rate", "weak-rate"])
+    def test_degenerate_fit_exits_0(self, tmp_path, capsys, sub):
+        # no drift, no noise and a zero start: every path stays 0, so every
+        # error is 0 and every resolution gives the same observable
+        doc = dict(tiny_doc(sub.replace("-", "_"), problem=NO_DRIFT, T=0.25,
                             grid=[[3, 3], [4, 3], [5, 3]], reference=[8, 3],
                             samples=2, seed=1), noise=None)
-        rc = cli.main(["weak-rate", "--config", doc_file(tmp_path, doc),
+        rc = cli.main([sub, "--config", doc_file(tmp_path, doc),
                        "--out", str(tmp_path / "out")])
         assert rc == 0
         assert "fitted order nan +/- nan" in capsys.readouterr().out

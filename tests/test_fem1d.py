@@ -8,7 +8,8 @@ from spdefem.errors import (CapacityError, InvalidArgumentError,
                             SingularMatrixError)
 from spdefem.smoothing_lab import SpectralFunction, evaluate_spectral
 from dense_reference import (dense_eigenpairs, dense_mass_stiffness,
-                             dense_sine_loads, dense_sine_projection)
+                             dense_sine_loads, dense_sine_projection,
+                             element_quad_points)
 
 
 def ops_for(L, n):
@@ -135,7 +136,7 @@ class TestProjection:
         mesh = fem1d.build_mesh(1.0, 9)
         ops = fem1d.assemble_operators(mesh)
         nodal = np.sin(2.5 * mesh.nodes) + mesh.nodes
-        xq = fem1d.element_quad_points(mesh)
+        xq = element_quad_points(mesh)
         gq = np.interp(xq, np.concatenate([[0], mesh.nodes, [1.0]]),
                        np.concatenate([[0], nodal, [0.0]]))
         got = fem1d.TriFactor(ops.mass).solve(fem1d.quad_load(mesh, gq))

@@ -1,6 +1,7 @@
 """Monte Carlo study drivers: estimators, determinism, reporting."""
 
 import dataclasses
+import math
 import sys
 import threading
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 
 from spdefem import cli, fem1d, harness, noise, scheme
 from spdefem.drift import DriftPolynomial, TamingParams
-from spdefem.errors import InvalidArgumentError, NumericalBlowupError
+from spdefem.errors import CapacityError, InvalidArgumentError, NumericalBlowupError
 from spdefem.harness import Resolution, make_study_config
 
 CUBIC = DriftPolynomial(q=2, coeffs=(0.0, 1.0, 0.0, -1.0))
@@ -100,6 +101,31 @@ class TestConfigValidation:
         cfg = strong_cfg()
         model = harness.noise_model_for(cfg)
         assert model.K == 2**3 - 1
+
+    @pytest.mark.parametrize("times", [(4.0, 1.0), (1.0, 2.0, 2.0)])
+    def test_times_must_increase(self, times):
+        with pytest.raises(InvalidArgumentError, match="study.times"):
+            make_study_config(
+                kind="smoothing", L=1.0, drift=None, taming=None,
+                initial_modes=None, s=None, K=None, grid=(Resolution(4, 3),),
+                reference=None, T=4.0, samples=1, seed=0, times=times)
+
+    @pytest.mark.parametrize("u_max,u_step", [
+        # the next scan past the cap, then scans that would not fit in memory
+        ((harness.MAX_SCAN_POINTS + 1) / 2, 1.0), (100.0, 1e-9), (1e300, 1e-300),
+        (math.inf, 1.0), (math.nan, 1.0)])
+    def test_taming_scan_capped_before_allocation(self, u_max, u_step, monkeypatch):
+        cfg = make_study_config(
+            kind="taming_check", L=1.0, drift=CUBIC, taming=TAMING,
+            initial_modes=None, s=None, K=None, grid=(Resolution(4, 4),),
+            reference=None, T=1.0, samples=1, seed=0)
+
+        # the check comes before the scan is built: arange must not be reached
+        def no_arange(*args, **kwargs):
+            raise AssertionError("scan allocated")
+        monkeypatch.setattr(harness.np, "arange", no_arange)
+        with pytest.raises(CapacityError, match="MAX_SCAN_POINTS"):
+            harness.taming_check_study(cfg, u_max, u_step)
 
     def test_mixed_axis_grid_rejected_at_fit(self):
         cfg = make_study_config(
@@ -435,6 +461,14 @@ class TestFitReportHook:
                                  {"kind": "x"})
         assert rep.window == (0.1, 0.4)
         assert rep.passed is True
+
+    def test_zero_error_flagged_degenerate(self):
+        cfg = strong_cfg()
+        rep = harness.fit_report(cfg, np.array([0.1, 0.0, 0.05]), np.zeros(3),
+                                 {"kind": "x"})
+        assert rep.flags == {"degenerate": True, "zero_error": True}
+        assert np.isnan(rep.fitted_order) and np.isnan(rep.fit_stderr)
+        assert rep.passed is None
 
     def test_degenerate_flag_disables_fit(self):
         cfg = strong_cfg()

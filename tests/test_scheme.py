@@ -10,6 +10,7 @@ from spdefem import drift, fem1d, noise, scheme
 from spdefem.errors import InvalidArgumentError, NumericalBlowupError
 
 from dense_reference import dense_eigenpairs, dense_mass_stiffness, dense_one_step
+from stepping import drift_term, one_step
 
 CUBIC = drift.DriftPolynomial(q=2, coeffs=(0.0, 1.0, 0.0, -1.0))
 TAMING = drift.TamingParams(alpha=0.25, theta=1.0, rho=2.0, beta1=1.0, beta2=1.0)
@@ -84,7 +85,7 @@ class TestSingleStepOracle:
             ops = fem1d.assemble_operators(fem1d.build_mesh(L, n))
             cfg = scheme.make_scheme_config(ops, CUBIC, TAMING, tau, x0)
             load = fem1d.sine_load_matrix(ops.mesh, K) @ inc
-            got = scheme.step(cfg, scheme.SchemeState(0, x0, 0.0), load).x
+            got = one_step(cfg, load)
             expect = dense_one_step(x0, inc, L, tau, (0.0, 1.0, 0.0, -1.0), 2,
                                     0.25, 1.0, 2.0, 1.0, 1.0)
             assert np.allclose(got, expect, rtol=1e-10, atol=1e-13)
@@ -94,7 +95,7 @@ class TestSingleStepOracle:
         x0 = np.sin(np.linspace(0.1, 2.0, n))
         ops = fem1d.assemble_operators(fem1d.build_mesh(L, n))
         cfg = scheme.make_scheme_config(ops, None, None, tau, x0)
-        got = scheme.step(cfg, scheme.SchemeState(0, x0, 0.0), np.zeros(n)).x
+        got = one_step(cfg, np.zeros(n))
         expect = dense_one_step(x0, np.zeros(1), L, tau, None, 2,
                                 0.25, 1.0, 2.0, 0.0, 0.0)
         assert np.allclose(got, expect, rtol=1e-12)
@@ -134,24 +135,25 @@ class TestFusedDriftKernel:
         stepper = scheme.Stepper(cfg, 1, batch)
         assert stepper._tame.func.__name__ == path
         expect = cfg.tau * scheme.drift_load(cfg, x)
-        got = stepper.drift_term(x)
+        got = drift_term(stepper, x)
         assert got.shape == shape
         assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
     def test_reused_work_arrays_match_fresh_ones(self):
-        # advance() reuses one set of work arrays for all its steps; single
-        # steps get fresh ones. Nothing may carry over from step to step.
+        # step_loads() reuses one set of work arrays for all its steps; one
+        # load at a time gets fresh ones. Nothing may carry over from step
+        # to step.
         m = noise.make_noise_model(0.5005, 4, 1.0)
         cfg = config_for(4, 1.0 / 8, initial=np.sin(np.arange(15.0)))
         tape = np.stack([noise.sample_tape_coeffs(m, 3, 1.0, 8,
                                                   noise.stream_context(0, i))
                          for i in range(3)], axis=2)
         whole = scheme.Stepper(cfg, 4, 3)
-        whole.advance(tape)
+        whole.step_loads(whole.noise_loads(tape))
         single = scheme.Stepper(cfg, 4, 3)
         loadmat = fem1d.sine_load_matrix(cfg.ops.mesh, 4)
         for row in tape:
-            single.step(loadmat @ row)
+            single.step_loads([loadmat @ row])
         assert np.array_equal(whole.finish()[0].x, single.finish()[0].x)
 
 
@@ -246,7 +248,7 @@ class TestRunBehaviour:
         gc.disable()
         try:
             stepper = scheme.Stepper(cfg, 4, 3)
-            stepper.advance(np.zeros((2, 4, 3)))
+            stepper.step_loads(stepper.noise_loads(np.zeros((2, 4, 3))))
             ref = weakref.ref(stepper)
             del stepper
             assert ref() is None
@@ -267,7 +269,8 @@ class TestDrivingPathForms:
         whole, _ = scheme.run(cfg, noise.coarsen_coeffs(fine, 8))
         stepper = scheme.Stepper(cfg, 4)
         for lo in range(0, 64, 16):
-            stepper.advance(noise.coarsen_coeffs(fine[lo:lo + 16], 8))
+            chunk = noise.coarsen_coeffs(fine[lo:lo + 16], 8)
+            stepper.step_loads(stepper.noise_loads(chunk))
         chunked, _ = stepper.finish()
         assert chunked.m == 8
         assert np.array_equal(chunked.x, whole.x)
@@ -307,7 +310,7 @@ class TestRecording:
         whole, rec = scheme.run(cfg, tape, spec)
         stepper = scheme.Stepper(cfg, 4, 3, spec)
         for lo, hi in ((0, 5), (5, 8), (8, 16)):
-            stepper.advance(tape[lo:hi])
+            stepper.step_loads(stepper.noise_loads(tape[lo:hi]))
         chunked, crec = stepper.finish()
         assert (chunked.m, chunked.t) == (whole.m, whole.t)
         assert np.array_equal(chunked.x, whole.x)
