@@ -63,12 +63,6 @@ class TamingParams:
                 raise InvalidArgumentError(f"{name} must be positive, got {v}")
 
 
-@dataclass(frozen=True)
-class OneSidedConstant:
-    L_f: float
-    method: str
-
-
 def eval_f(poly, u):
     """Horner evaluation; u scalar or ndarray."""
     u = np.asarray(u, dtype=float)
@@ -139,7 +133,7 @@ def validate_params(poly, params):
 
 
 def one_sided_constant(poly):
-    """Supremum of f' over the real line.
+    """Supremum L_f of f' over the real line.
 
     For cubic drifts (q=2) the derivative is a concave quadratic and the
     maximum is analytic. For higher degrees f' has even degree and a
@@ -152,12 +146,11 @@ def one_sided_constant(poly):
     dcoef = [k * poly.coeffs[k] for k in range(1, 2 * poly.q)]
     if poly.q == 2:
         a1, a2x2, a3x3 = dcoef  # f' = a1 + 2 a2 u + 3 a3 u^2
-        L_f = a1 - a2x2**2 / (4.0 * a3x3)
-        return OneSidedConstant(L_f=float(L_f), method="analytic-cubic")
+        return float(a1 - a2x2**2 / (4.0 * a3x3))
     ddcoef = [k * dcoef[k] for k in range(1, len(dcoef))]
     crit = np.roots(ddcoef[::-1]).real
     vals = np.polyval(dcoef[::-1], crit)
-    return OneSidedConstant(L_f=float(vals.max()), method="critical-points")
+    return float(vals.max())
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import math
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import NamedTuple, Optional
 
@@ -24,11 +24,12 @@ import numpy as np
 import scipy
 
 from . import __version__, fem1d, noise, scheme
-from .drift import taming_inequality_suite
+from .drift import one_sided_constant, taming_inequality_suite
 from .errors import CapacityError, InvalidArgumentError
 from .smoothing_lab import rate_fit, rough_initial, smoothing_error
 
 BLOCK = 64
+ROUGH_MODES = 256      # sine modes of the smoothing study's rough data
 
 
 def _sin_pi4_minus_l2sq(x, l2sq):
@@ -39,12 +40,28 @@ def _l2sq(x, l2sq):
     return l2sq
 
 
-# module-level functions, so a RecordSpec holding one pickles for workers
+# module-level functions, so a RecordSpec holding one (through a partial
+# of an observer below) pickles for workers
 OBSERVABLES = {
     "sin_pi4_minus_l2sq": _sin_pi4_minus_l2sq,
     "l2sq": _l2sq,
 }
 DEFAULT_OBSERVABLE = "sin_pi4_minus_l2sq"
+MOMENTS = ("l2_sq", "l4_4", "hgamma_sq")
+
+
+# fem1d's norms are looked up at call time, so benchmarks/tracing.py's
+# wrappers attribute their time
+def _observe_phi(ops, x, phi):
+    """The equilibration's record: phi(x, |x|_M^2)."""
+    return [phi(x, fem1d.l2_norm_sq_mass(ops, x))]
+
+
+def _observe_moments(ops, x, gamma):
+    """The moment study's record in MOMENTS order: |x|_L2^2, |x|_L4^4, |x|_H^gamma^2."""
+    return [fem1d.l2_norm_sq_mass(ops, x), fem1d.lp_norm(ops.mesh, x, 4) ** 4,
+            fem1d.fractional_seminorm_sq(ops, gamma, x)]
+
 
 # fitted-order acceptance windows by (kind, axis, white-noise?). For additive
 # noise the strong temporal order is gamma/2 with gamma < s + 1/2 (gamma = 1/2
@@ -294,10 +311,43 @@ def _paths_block(cfg, b, legs):
     return out
 
 
-def _run_legs(cfg, legs):
-    """Per-block lists of leg results, blocks in index order."""
-    return _map_blocks(cfg, functools.partial(_paths_block, legs=tuple(legs)),
-                       _n_blocks(cfg))
+def _run_legs(cfg, legs, per_sample):
+    """per_sample of each block's leg results, an array with one sample per
+    entry of its last axis, joined on that axis over blocks in index order."""
+    blocks = _map_blocks(cfg, functools.partial(_paths_block, legs=tuple(legs)),
+                         _n_blocks(cfg))
+    return np.concatenate([per_sample(blk) for blk in blocks], axis=-1)
+
+
+def _mean_se(a):
+    """Mean and standard error over the last (sample) axis; 0 error for one sample."""
+    n = a.shape[-1]
+    mean = a.mean(axis=-1)
+    se = a.std(axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+    return mean, se
+
+
+def _recorded(cfg, leg, lo, least):
+    """Run a one-resolution study's recorded leg.
+
+    Returns its recorded times, their mask of [lo, T] and its values as
+    (times, quantities, starts, samples). Raises InvalidArgumentError
+    before stepping when the mask holds fewer than least times.
+    """
+    times = np.arange(0, 2**leg.res.m + 1, cfg.stride) * _tau_for(cfg, leg.res)
+    sel = times >= lo - 1e-12
+    held = np.count_nonzero(sel)
+    if held < least:
+        raise InvalidArgumentError(
+            f"study.stride {cfg.stride} records {held} time(s) in [{lo:g}, {cfg.T:g}], "
+            f"fewer than the {least} the study needs")
+
+    def per_sample(blk):
+        rec = blk[0]
+        assert np.array_equal(rec.times, times)
+        return rec.values.reshape(*rec.values.shape[:2], len(leg.starts), -1)
+
+    return times, sel, _run_legs(cfg, [leg], per_sample)
 
 
 def _versions():
@@ -471,15 +521,9 @@ def strong_rate_study(cfg):
             rows.append(fem1d.l2_norm_sq_mass(ref_ops, x_ref - xg))
         return np.array(rows)
 
-    err2 = np.concatenate([err2_of(blk) for blk in _run_legs(cfg, legs)], axis=1)
-    n = err2.shape[1]
-    mean2 = err2.mean(axis=1)
+    mean2, se_mean2 = _mean_se(_run_legs(cfg, legs, err2_of))
     errors = np.sqrt(mean2)
-    if n > 1:
-        se_mean2 = err2.std(axis=1, ddof=1) / math.sqrt(n)
-        stderrs = np.where(errors > 0, se_mean2 / (2.0 * np.maximum(errors, 1e-300)), 0.0)
-    else:
-        stderrs = np.zeros_like(errors)
+    stderrs = np.where(errors > 0, se_mean2 / (2.0 * np.maximum(errors, 1e-300)), 0.0)
     meta = _metadata(cfg, noise_model_for(cfg), time.perf_counter() - t0)
     return fit_report(cfg, errors, stderrs, meta)
 
@@ -508,27 +552,18 @@ def weak_rate_study(cfg):
         return np.array([phi(x, fem1d.l2_norm_sq_mass(ops[leg.res.h_exp], x))
                          for leg, x in zip(legs, states)])
 
-    vals = np.concatenate([phi_of(blk) for blk in _run_legs(cfg, legs)], axis=1)
-    n = vals.shape[1]
-    G = len(cfg.grid)
+    vals = _run_legs(cfg, legs, phi_of)
     flags = {}
-    if n > 1 and float(vals.std()) == 0.0:
+    if vals.shape[1] > 1 and float(vals.std()) == 0.0:
         flags["constant_phi"] = True
         flags["degenerate"] = True
-    errors = np.empty(G)
-    stderrs = np.empty(G)
-    for g in range(G):
-        if cfg.crn_tapes:
-            d = vals[g] - vals[-1]
-            errors[g] = abs(d.mean())
-            stderrs[g] = d.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
-        else:
-            errors[g] = abs(vals[g].mean() - vals[-1].mean())
-            if n > 1:
-                stderrs[g] = math.sqrt(
-                    vals[g].var(ddof=1) / n + vals[-1].var(ddof=1) / n)
-            else:
-                stderrs[g] = 0.0
+    if cfg.crn_tapes:
+        mean, stderrs = _mean_se(vals[:-1] - vals[-1])
+        errors = np.abs(mean)
+    else:
+        mean, se = _mean_se(vals)
+        errors = np.abs(mean[:-1] - mean[-1])
+        stderrs = np.sqrt(se[:-1] ** 2 + se[-1] ** 2)
     meta = _metadata(cfg, noise_model_for(cfg), time.perf_counter() - t0)
     return fit_report(cfg, errors, stderrs, meta, flags)
 
@@ -592,39 +627,26 @@ def equilibration_study(cfg):
     if len(cfg.grid) != 1:
         raise InvalidArgumentError("equilibration runs a single resolution")
     if cfg.drift is not None:
-        sc_probe = scheme.make_scheme_config(
-            fem1d.assemble_operators(_mesh_for(cfg, cfg.grid[0])),
-            cfg.drift, cfg.taming, _tau_for(cfg, cfg.grid[0]),
-            np.zeros(2**cfg.grid[0].h_exp - 1))
-        if not sc_probe.contraction:
+        lam1 = fem1d.uniform_mesh_eigenvalue(_mesh_for(cfg, cfg.grid[0]), 1)
+        if not one_sided_constant(cfg.drift) < lam1:
             raise InvalidArgumentError(
                 "equilibration requires the contraction regime L_f < lambda_1"
             )
     t0 = time.perf_counter()
-    spec = scheme.RecordSpec(stride=cfg.stride, norms=False,
-                             phi=OBSERVABLES[cfg.observable])
-    leg = Leg(cfg.grid[0], 0, tuple(cfg.initials), spec)
-    recs = [blk[0] for blk in _run_legs(cfg, [leg])]
-    times = recs[0].times
-    n_ic = len(cfg.initials)
-    # start i is the i-th column group of every block's record
-    groups = [np.split(rec.phi, n_ic, axis=1) for rec in recs]
-    mats = [np.concatenate([g[i] for g in groups], axis=1) for i in range(n_ic)]
-    n = mats[0].shape[1]
-    means = np.stack([m.mean(axis=1) for m in mats])
-    if n > 1:
-        ses = np.stack([m.std(axis=1, ddof=1) / math.sqrt(n) for m in mats])
-    else:
-        ses = np.zeros_like(means)
     w0, w1 = 0.75 * cfg.T, cfg.T
-    sel = (times >= w0 - 1e-12) & (times <= w1 + 1e-12)
-    wm = np.stack([m[sel].mean(axis=0) for m in mats])   # (n_ic, n) per-sample
-    window_means = wm.mean(axis=1)
+    spec = scheme.RecordSpec(cfg.stride, functools.partial(
+        _observe_phi, phi=OBSERVABLES[cfg.observable]))
+    times, sel, vals = _recorded(cfg, Leg(cfg.grid[0], 0, tuple(cfg.initials), spec),
+                                 w0, 1)
+    vals = vals[:, 0]                          # (times, starts, samples)
+    n_ic, n = vals.shape[1:]
+    means, ses = (a.T for a in _mean_se(vals))
+    # per-sample means over the window, (starts, samples)
+    window_means, window_ses = _mean_se(vals[sel].mean(axis=0))
     flags = {}
     pairwise = []
     agreement = None
     if n > 1:
-        window_ses = wm.std(axis=1, ddof=1) / math.sqrt(n)
         agreement = True
         for i in range(n_ic):
             for j in range(i + 1, n_ic):
@@ -635,7 +657,6 @@ def equilibration_study(cfg):
                                  "combined_se": comb, "ok": ok})
                 agreement = agreement and ok
     else:
-        window_ses = np.zeros(n_ic)
         flags["insufficient_samples"] = True
     meta = _metadata(cfg, noise_model_for(cfg), time.perf_counter() - t0)
     return EquilibrationReport(
@@ -683,7 +704,7 @@ class MomentReport:
         return f"trend slopes {slopes} passed={self.passed}"
 
 
-def moment_study(cfg, horizon_multiplier=1):
+def moment_study(cfg):
     """Long-horizon moment tracking with a second-half trend test.
 
     Records E|X|_{L2}^2, E|X|_{L4}^4 and the squared H^gamma seminorm.
@@ -693,41 +714,24 @@ def moment_study(cfg, horizon_multiplier=1):
     """
     if len(cfg.grid) != 1:
         raise InvalidArgumentError("moment study runs a single resolution")
-    mult = int(horizon_multiplier)
-    if mult < 1 or mult & (mult - 1):
-        raise InvalidArgumentError("horizon multiplier must be a power of two")
-    if mult > 1:
-        res = cfg.grid[0]
-        cfg = replace(cfg, T=cfg.T * mult,
-                      grid=(Resolution(res.m + mult.bit_length() - 1, res.h_exp),))
     t0 = time.perf_counter()
     model = noise_model_for(cfg)
-    spec = scheme.RecordSpec(stride=cfg.stride, norms=True,
-                             gamma=1.0 if model is None else model.gamma_report)
-    leg = Leg(cfg.grid[0], 0, (cfg.initial_modes,), spec)
-    recs = [blk[0] for blk in _run_legs(cfg, [leg])]
-    times = recs[0].times
-    mats = {"l2_sq": np.concatenate([r.l2 ** 2 for r in recs], axis=1),
-            "l4_4": np.concatenate([r.l4 ** 4 for r in recs], axis=1),
-            "hgamma_sq": np.concatenate([r.hgamma_sq for r in recs], axis=1)}
-    names = tuple(mats)
-    n = mats[names[0]].shape[1]
+    spec = scheme.RecordSpec(cfg.stride, functools.partial(
+        _observe_moments, gamma=1.0 if model is None else model.gamma_report))
     half = cfg.T / 2.0
-    sel = times >= half - 1e-12
+    times, sel, vals = _recorded(cfg, Leg(cfg.grid[0], 0, (cfg.initial_modes,), spec),
+                                 half, 2)
+    vals = vals[:, :, 0]                       # (times, MOMENTS, samples)
+    n = vals.shape[-1]
+    mean, se = _mean_se(vals)
     tb = times[sel] - times[sel].mean()
-    sxx = float(tb @ tb)
-    series = {}
-    trends = {}
-    for nm in names:
-        m = mats[nm]
-        mean = m.mean(axis=1)
-        se = m.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
-        series[nm] = (mean, se)
-        slopes = tb @ m[sel] / sxx          # per-sample OLS slope
-        sl_mean = float(slopes.mean())
-        sl_se = float(slopes.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        trends[nm] = {"slope": sl_mean, "stderr": sl_se,
-                      "ok": bool(abs(sl_mean) <= 2.0 * sl_se) if n > 1 else None}
+    # per-sample OLS slopes, (MOMENTS, samples)
+    slopes = np.stack([tb @ vals[sel, k] for k in range(len(MOMENTS))]) / float(tb @ tb)
+    sl_mean, sl_se = _mean_se(slopes)
+    series = {nm: (mean[:, k], se[:, k]) for k, nm in enumerate(MOMENTS)}
+    trends = {nm: {"slope": float(sl_mean[k]), "stderr": float(sl_se[k]),
+                   "ok": bool(abs(sl_mean[k]) <= 2.0 * sl_se[k]) if n > 1 else None}
+              for k, nm in enumerate(MOMENTS)}
     meta = _metadata(cfg, model, time.perf_counter() - t0)
     return MomentReport(times=times, series=series,
                         trend_window=(half, cfg.T), trends=trends, metadata=meta)
@@ -768,20 +772,19 @@ class SmoothingReport:
     outcome = _fit_outcome
 
 
-def smoothing_study(cfg, rough_modes=256):
+def smoothing_study(cfg):
     """Deterministic semigroup-vs-propagator error sweep and rate fit.
 
-    Rough data: flat-spectrum random signs (seeded by the config), unit
-    L2 norm. The fit runs at the first configured time; later times feed
-    the monotone time-decay check at fixed resolution.
+    Rough data: ROUGH_MODES flat-spectrum random signs (seeded by the
+    config), unit L2 norm. The fit runs at the first configured time;
+    later times feed the monotone time-decay check at fixed resolution.
     """
     times = cfg.times or (1.0,)
-    axis = _fit_axis(cfg)
-    v = rough_initial(rough_modes, cfg.seed, cfg.L)
+    v = rough_initial(ROUGH_MODES, cfg.seed, cfg.L)
     t0 = time.perf_counter()
     rows = []
     row_res = []
-    fit_pts = []
+    first = []
     decay_ok = True if len(times) > 1 else None
     for res in cfg.grid:
         ops = fem1d.assemble_operators(_mesh_for(cfg, res))
@@ -796,25 +799,16 @@ def smoothing_study(cfg, rough_modes=256):
             rows.append(smp)
             row_res.append(res)
             per_time.append(smp.error)
-        fit_pts.append((tau if axis == "tau" else ops.mesh.h, per_time[0]))
+        first.append(per_time[0])
         if len(times) > 1 and per_time[-1] > per_time[0]:
             decay_ok = False
-    fit = rate_fit(fit_pts)
-    window = _window_for(cfg, axis)
-    passed = None
-    if window is not None:
-        lo, hi = window
-        passed = bool(fit.slope >= lo and (hi is None or fit.slope <= hi))
-        if decay_ok is not None:
-            passed = passed and decay_ok
     meta = _metadata(cfg, None, time.perf_counter() - t0)
-    meta["p"] = cfg.p
-    meta["times"] = list(times)
-    meta["rough_modes"] = rough_modes
-    return SmoothingReport(samples=rows, resolutions=tuple(row_res), axis=axis,
-                           fitted_order=fit.slope, fit_stderr=fit.stderr,
-                           window=window, decay_ok=decay_ok, passed=passed,
-                           metadata=meta)
+    meta.update(p=cfg.p, times=list(times), rough_modes=ROUGH_MODES)
+    fit = fit_report(cfg, first, np.zeros(len(first)), meta)
+    return SmoothingReport(samples=rows, resolutions=tuple(row_res), axis=fit.axis,
+                           fitted_order=fit.fitted_order, fit_stderr=fit.fit_stderr,
+                           window=fit.window, decay_ok=decay_ok,
+                           passed=fit.passed and decay_ok is not False, metadata=meta)
 
 
 # ------------------------------------------------------------------ checks

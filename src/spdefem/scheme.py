@@ -16,12 +16,12 @@ axis, which is how the harness runs whole blocks of samples in lockstep.
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import fem1d
-from .drift import eval_f_tamed, one_sided_constant, validate_params
+from .drift import eval_f_tamed, validate_params
 from .errors import InvalidArgumentError, NumericalBlowupError
 from .fem1d import QUAD_R, QUAD_W, TriDiagSym, TriFactor
 # bound here only for benchmarks/tracing.py to wrap, until ROADMAP item 1
@@ -38,20 +38,16 @@ class SchemeConfig:
     taming: object           # TamingParams, required when drift is set
     tau: float
     initial: np.ndarray
-    contraction: Optional[bool] = None  # L_f < lambda_{1,h}, None without drift
 
 
 def make_scheme_config(ops, drift, taming, tau, initial):
     """Validated constructor; prefer this over the raw dataclass."""
     if not tau > 0:
         raise InvalidArgumentError(f"tau must be positive, got {tau}")
-    contraction = None
     if drift is not None:
         if taming is None:
             raise InvalidArgumentError("taming parameters required with a drift")
         validate_params(drift, taming)
-        lam1 = fem1d.uniform_mesh_eigenvalue(ops.mesh, 1)
-        contraction = bool(one_sided_constant(drift).L_f < lam1)
     initial = np.asarray(initial, dtype=float)
     if initial.shape[0] != ops.mesh.n_interior:
         raise InvalidArgumentError(
@@ -61,7 +57,7 @@ def make_scheme_config(ops, drift, taming, tau, initial):
     if not np.all(np.isfinite(initial)):
         raise InvalidArgumentError("initial data must be finite")
     return SchemeConfig(ops=ops, drift=drift, taming=taming, tau=float(tau),
-                        initial=initial, contraction=contraction)
+                        initial=initial)
 
 
 @dataclass(frozen=True)
@@ -100,57 +96,33 @@ def drift_load(config, x):
 
 @dataclass
 class RecordSpec:
-    """What to record along a trajectory and how often."""
+    """Record observe(ops, x) every stride steps, and at the initial state.
 
-    stride: int = 1
-    norms: bool = True                 # L2, L4 and L^{2q(2q-1)} norms
-    gamma: Optional[float] = None      # fractional seminorm order, None = skip
-    phi: Optional[Callable] = None     # called as phi(x, l2_sq)
+    observe returns one row per quantity and one column per path of x.
+    """
+
+    stride: int
+    observe: Callable
 
 
 @dataclass
 class ObservableRecord:
     times: np.ndarray
-    l2: np.ndarray
-    l4: Optional[np.ndarray] = None
-    l_high: Optional[np.ndarray] = None     # L^{2q(2q-1)} norm
-    hgamma_sq: Optional[np.ndarray] = None  # squared H^gamma seminorm
-    phi: Optional[np.ndarray] = None
+    values: np.ndarray       # (times, quantities, paths); no paths axis for a 1-D state
 
 
 class _Recorder:
-    def __init__(self, config, spec):
+    def __init__(self, ops, spec):
         self.spec = spec
-        self.ops = config.ops
-        self.high_p = None
-        if spec.norms and config.drift is not None:
-            q = config.drift.q
-            self.high_p = 2 * q * (2 * q - 1)
-        self.times, self.l2, self.l4, self.lh, self.hg, self.ph = [], [], [], [], [], []
+        self.ops = ops
+        self.times, self.values = [], []
 
     def grab(self, t, x):
-        l2sq = fem1d.l2_norm_sq_mass(self.ops, x)
         self.times.append(t)
-        self.l2.append(np.sqrt(l2sq))
-        if self.spec.norms:
-            self.l4.append(fem1d.lp_norm(self.ops.mesh, x, 4))
-            if self.high_p is not None:
-                self.lh.append(fem1d.lp_norm(self.ops.mesh, x, self.high_p))
-        if self.spec.gamma is not None:
-            self.hg.append(fem1d.fractional_seminorm_sq(self.ops, self.spec.gamma, x))
-        if self.spec.phi is not None:
-            self.ph.append(self.spec.phi(x, l2sq))
+        self.values.append(self.spec.observe(self.ops, x))
 
     def finish(self):
-        pack = lambda rows: np.array(rows) if rows else None
-        return ObservableRecord(
-            times=np.array(self.times),
-            l2=np.array(self.l2),
-            l4=pack(self.l4),
-            l_high=pack(self.lh),
-            hgamma_sq=pack(self.hg),
-            phi=pack(self.ph),
-        )
+        return ObservableRecord(times=np.array(self.times), values=np.array(self.values))
 
 
 def _tame_quartic_root(u, c):
@@ -244,7 +216,7 @@ class Stepper:
                 self._tame = functools.partial(
                     _tame_general, c=c, alpha=tp.alpha,
                     expo=(2.0 * config.drift.q - 2.0) / tp.alpha)
-        self._rec = _Recorder(config, record_spec) if record_spec is not None else None
+        self._rec = _Recorder(ops, record_spec) if record_spec is not None else None
         self._m = 0
         self._warned = False
         if self._rec is not None:

@@ -132,7 +132,6 @@ def smoothing_error(ops, tau, n, p, v):
 
 class RateFit(NamedTuple):
     slope: float
-    intercept: float
     stderr: float
 
 
@@ -140,7 +139,7 @@ def rate_fit(samples):
     """Least squares in log-log coordinates over (resolution, error) pairs.
 
     Needs at least 3 samples with positive resolutions and errors.
-    Returns slope, intercept and the standard error of the slope.
+    Returns the slope and its standard error.
     """
     pts = list(samples)
     if len(pts) < 3:
@@ -161,4 +160,4 @@ def rate_fit(samples):
     resid = y - (intercept + slope * x)
     ssr = float(resid @ resid)
     stderr = math.sqrt(max(ssr, 0.0) / (n - 2) / sxx) if n > 2 else 0.0
-    return RateFit(slope=slope, intercept=intercept, stderr=stderr)
+    return RateFit(slope=slope, stderr=stderr)

@@ -142,6 +142,10 @@ class TestMainExitCodes:
         ("strong-rate", None, "seed", -1, "study.seed"),
         ("strong-rate", None, "--seed", 2**64, "study.seed"),
         ("strong-rate", None, "--workers", -3, "workers >= 1"),
+        # one recorded time in the trend window [T/2, T], none in [3T/4, T]:
+        # refused before any step instead of a nan slope or window mean
+        ("longtime", "longtime_ci", "stride", 2048, "study.stride"),
+        ("equilibrate", "equilibrate_ci", "stride", 1024, "study.stride"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, sub, preset, key, value,
                                      field):

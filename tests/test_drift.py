@@ -150,21 +150,17 @@ class TestConstraint:
 
 class TestOneSidedConstant:
     def test_cubic_analytic(self):
-        c = one_sided_constant(CUBIC)
-        assert c.L_f == pytest.approx(1.0, abs=1e-14)
-        assert c.method == "analytic-cubic"
+        assert one_sided_constant(CUBIC) == pytest.approx(1.0, abs=1e-14)
 
     def test_shifted_cubic(self):
         # f = 2u + u^2 - u^3 has max f' = 2 + 1/3
         poly = DriftPolynomial(q=2, coeffs=(0.0, 2.0, 1.0, -1.0))
-        assert one_sided_constant(poly).L_f == pytest.approx(2 + 1 / 3, rel=1e-13)
+        assert one_sided_constant(poly) == pytest.approx(2 + 1 / 3, rel=1e-13)
 
     def test_quintic_scan(self):
         poly = DriftPolynomial(q=3, coeffs=(0.0, 1.0, 0.0, 0.0, 0.0, -1.0))
-        c = one_sided_constant(poly)
-        assert c.method == "critical-points"
         # max of f'(u) = 1 - 5u^4 is 1, at the triple root u = 0 of f''
-        assert c.L_f == pytest.approx(1.0, abs=1e-14)
+        assert one_sided_constant(poly) == pytest.approx(1.0, abs=1e-14)
 
     def test_quintic_supremum_is_exact(self):
         # f'' has one real root, near 0.0497; a 200001-point grid scan
@@ -172,13 +168,13 @@ class TestOneSidedConstant:
         poly = DriftPolynomial(q=3, coeffs=(0.0, 0.63707324, 0.55833996,
                                             -3.77227516, 0.26062975, -0.07544532))
         # 40-digit value from the real root of f'' in extended precision
-        assert one_sided_constant(poly).L_f == pytest.approx(
+        assert one_sided_constant(poly) == pytest.approx(
             0.66474434636027849570, rel=1e-13)
 
     @given(poly=odd_poly)
     @settings(max_examples=60, deadline=None)
     def test_one_sided_inequality_holds(self, poly):
-        L_f = one_sided_constant(poly).L_f
+        L_f = one_sided_constant(poly)
         u = np.linspace(-30, 30, 601)
         v = u[::-1]
         lhs = (eval_f(poly, u) - eval_f(poly, v)) * (u - v)

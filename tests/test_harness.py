@@ -1,6 +1,7 @@
 """Monte Carlo study drivers: estimators, determinism, reporting."""
 
 import dataclasses
+import functools
 import math
 import sys
 import threading
@@ -311,7 +312,7 @@ def assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads):
                 assert np.array_equal(result[:, cols], want.x)
             else:
                 assert np.array_equal(result.times, rec.times)
-                assert np.array_equal(result.phi[:, cols], rec.phi)
+                assert np.array_equal(result.values[:, :, cols], rec.values)
     return fills
 
 
@@ -334,8 +335,8 @@ class TestPrefetchedChunks:
         # the helper assembles their load set with one noise_loads call per
         # chunk, and one step_loads call per chunk steps all three
         cfg = dataclasses.replace(equilibrate_cfg(), samples=8)
-        spec = scheme.RecordSpec(stride=cfg.stride, norms=False,
-                                 phi=harness.OBSERVABLES[cfg.observable])
+        spec = scheme.RecordSpec(cfg.stride, functools.partial(
+            harness._observe_phi, phi=harness.OBSERVABLES[cfg.observable]))
         legs = [harness.Leg(cfg.grid[0], 0, cfg.initials, spec)]
         calls = loads_hook(monkeypatch, lambda count: None)
         stepped = []
@@ -424,6 +425,24 @@ class TestWeakStudy:
         paired = harness.weak_rate_study(weak_cfg(crn=True))
         indep = harness.weak_rate_study(weak_cfg(crn=False))
         assert np.all(paired.stderrs < indep.stderrs)
+
+    def test_independent_stderr_is_the_variance_sum(self, monkeypatch):
+        # each resolution's mean and the reference's are independent, so the
+        # standard error of their difference is sqrt(var_g/n + var_ref/n)
+        joined = []
+        run_legs = harness._run_legs
+
+        def kept(*args):
+            joined.append(run_legs(*args))
+            return joined[-1]
+
+        monkeypatch.setattr(harness, "_run_legs", kept)
+        rep = harness.weak_rate_study(weak_cfg(crn=False))
+        (vals,) = joined
+        n = vals.shape[1]
+        want = [math.sqrt(v.var(ddof=1) / n + vals[-1].var(ddof=1) / n)
+                for v in vals[:-1]]
+        np.testing.assert_allclose(rep.stderrs, want, rtol=1e-14, atol=0)
 
     def test_constant_observable_flagged(self):
         cfg = weak_cfg(crn=True, samples=8)
@@ -537,13 +556,6 @@ class TestMoments:
             assert rep.trends[name]["ok"], (name, rep.trends[name])
         assert rep.trend_window[0] == pytest.approx(8.0)
 
-    def test_horizon_multiplier_extends_time(self):
-        cfg = dataclasses.replace(moment_cfg(), T=4.0, samples=8,
-                                  grid=(Resolution(5, 4),))
-        rep = harness.moment_study(cfg, horizon_multiplier=2)
-        assert rep.times[-1] == pytest.approx(8.0)
-        assert rep.metadata["T"] == pytest.approx(8.0)
-
 
 class TestSmoothingStudy:
     def test_temporal_fit_and_decay(self):
@@ -553,7 +565,7 @@ class TestSmoothingStudy:
             grid=tuple(Resolution(m, 6) for m in (3, 4, 5, 6)),
             reference=None, T=4.0, samples=1, seed=0,
             times=(1.0, 4.0), p=2.0)
-        rep = harness.smoothing_study(cfg, rough_modes=63)
+        rep = harness.smoothing_study(cfg)
         assert rep.axis == "tau"
         assert rep.fitted_order > 0.85
         assert rep.decay_ok is True
@@ -568,4 +580,4 @@ class TestSmoothingStudy:
             reference=None, T=4.0, samples=1, seed=0,
             times=(0.3,), p=2.0)
         with pytest.raises(InvalidArgumentError):
-            harness.smoothing_study(cfg, rough_modes=31)
+            harness.smoothing_study(cfg)

@@ -1,12 +1,13 @@
 """Time stepper: linear algebra, oracle cross-checks, batching, recording."""
 
+import functools
 import gc
 import weakref
 
 import numpy as np
 import pytest
 
-from spdefem import drift, fem1d, noise, scheme
+from spdefem import drift, fem1d, harness, noise, scheme
 from spdefem.errors import InvalidArgumentError, NumericalBlowupError
 
 from dense_reference import dense_eigenpairs, dense_mass_stiffness, dense_one_step
@@ -18,6 +19,13 @@ TAMING = drift.TamingParams(alpha=0.25, theta=1.0, rho=2.0, beta1=1.0, beta2=1.0
 
 def ops_for(h_exp, L=1.0):
     return fem1d.assemble_operators(fem1d.build_mesh(L, 2**h_exp - 1))
+
+
+def observe_all(ops, x):
+    """Every quantity the studies record, then the L^12 norm."""
+    return [*harness._observe_moments(ops, x, 0.75),
+            *harness._observe_phi(ops, x, harness.OBSERVABLES["sin_pi4_minus_l2sq"]),
+            fem1d.lp_norm(ops.mesh, x, 12)]
 
 
 def config_for(h_exp, tau, with_drift=True, initial=None, L=1.0):
@@ -65,11 +73,6 @@ class TestConfigValidation:
         ops = ops_for(3)
         with pytest.raises(InvalidArgumentError):
             scheme.make_scheme_config(ops, CUBIC, None, 0.1, np.zeros(7))
-
-    def test_contraction_flag(self):
-        # cubic one-sided constant is 1, below the smallest eigenvalue
-        assert config_for(3, 0.1).contraction is True
-        assert config_for(3, 0.1, with_drift=False).contraction is None
 
 
 class TestSingleStepOracle:
@@ -171,8 +174,7 @@ class TestColumnGroups:
         rng = np.random.default_rng([n, batch])
         starts = rng.standard_normal((n, 3))
         loads = 0.1 * rng.standard_normal((9, n, batch))
-        spec = scheme.RecordSpec(stride=2, gamma=0.75,
-                                 phi=lambda x, l2sq: np.sin(np.pi / 4 - l2sq))
+        spec = scheme.RecordSpec(stride=2, observe=observe_all)
 
         def stepped(initial):
             cfg = scheme.make_scheme_config(ops, CUBIC, TAMING, 1.0 / 64, initial)
@@ -187,12 +189,11 @@ class TestColumnGroups:
             state, rec = stepped(starts[:, i])
             assert np.array_equal(wide.x[:, cols], state.x)
             assert np.array_equal(wrec.times, rec.times)
-            for name in ("l2", "l4", "l_high", "hgamma_sq", "phi"):
-                got, want = getattr(wrec, name)[:, cols], getattr(rec, name)
-                if batch > 1:
-                    assert np.array_equal(got, want)
-                else:
-                    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+            got, want = wrec.values[:, :, cols], rec.values
+            if batch > 1:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 class TestRunBehaviour:
@@ -200,8 +201,10 @@ class TestRunBehaviour:
         ops = ops_for(5)
         v = fem1d.project_sine_coeffs(ops, np.array([1.0]))
         cfg = scheme.make_scheme_config(ops, None, None, 0.01, v)
-        _, rec = scheme.run(cfg, None, scheme.RecordSpec(norms=False), n_steps=50)
-        assert np.all(np.diff(rec.l2) < 0)
+        spec = scheme.RecordSpec(
+            stride=1, observe=lambda ops, x: [fem1d.l2_norm_sq_mass(ops, x)])
+        _, rec = scheme.run(cfg, None, spec, n_steps=50)
+        assert np.all(np.diff(rec.values[:, 0]) < 0)
 
     def test_zero_noise_needs_step_count(self):
         cfg = config_for(3, 0.1, with_drift=False)
@@ -288,16 +291,22 @@ class TestDrivingPathForms:
             assert np.allclose(batched.x[:, i], single.x, rtol=1e-12, atol=1e-15)
 
 
+def moment_spec(gamma):
+    """Record the moment study's quantities (the seminorm last) every step."""
+    return scheme.RecordSpec(stride=1, observe=functools.partial(
+        harness._observe_moments, gamma=gamma))
+
+
 class TestRecording:
     def test_stride_subsamples_without_perturbing(self):
         m = noise.make_noise_model(0.5005, 4, 1.0)
         cfg = config_for(3, 1.0 / 16)
         tape = noise.sample_tape_coeffs(m, 5, 1.0, 16)
-        s1, r1 = scheme.run(cfg, tape, scheme.RecordSpec(stride=1))
-        s4, r4 = scheme.run(cfg, tape, scheme.RecordSpec(stride=4))
+        s1, r1 = scheme.run(cfg, tape, scheme.RecordSpec(stride=1, observe=observe_all))
+        s4, r4 = scheme.run(cfg, tape, scheme.RecordSpec(stride=4, observe=observe_all))
         assert np.array_equal(s1.x, s4.x)
         assert np.array_equal(r4.times, r1.times[::4])
-        assert np.array_equal(r4.l2, r1.l2[::4])
+        assert np.array_equal(r4.values, r1.values[::4])
 
     def test_chunked_stepper_matches_one_run(self):
         # chunks of 5, 3 and 8 rows cut across the recording stride of 4
@@ -306,7 +315,7 @@ class TestRecording:
         tape = np.stack([noise.sample_tape_coeffs(m, 8, 1.0, 16,
                                                   noise.stream_context(0, i))
                          for i in range(3)], axis=2)
-        spec = scheme.RecordSpec(stride=4, gamma=0.75)
+        spec = scheme.RecordSpec(stride=4, observe=observe_all)
         whole, rec = scheme.run(cfg, tape, spec)
         stepper = scheme.Stepper(cfg, 4, 3, spec)
         for lo, hi in ((0, 5), (5, 8), (8, 16)):
@@ -314,25 +323,28 @@ class TestRecording:
         chunked, crec = stepper.finish()
         assert (chunked.m, chunked.t) == (whole.m, whole.t)
         assert np.array_equal(chunked.x, whole.x)
-        for name in ("times", "l2", "l4", "l_high", "hgamma_sq"):
-            assert np.array_equal(getattr(crec, name), getattr(rec, name))
+        assert crec.values.shape == (5, 5, 3)
+        assert np.array_equal(crec.times, rec.times)
+        assert np.array_equal(crec.values, rec.values)
 
     def test_recorded_quantities_match_manual(self):
         m = noise.make_noise_model(0.5005, 4, 1.0)
         cfg = config_for(4, 1.0 / 8)
         tape = noise.sample_tape_coeffs(m, 6, 1.0, 8)
-        spec = scheme.RecordSpec(norms=True, gamma=1.0,
-                                 phi=lambda x, l2sq: np.sin(np.pi / 4 - l2sq))
+        # the moment study's quantities, then the equilibration's
+        phi = harness.OBSERVABLES["sin_pi4_minus_l2sq"]
+        spec = scheme.RecordSpec(stride=1, observe=lambda ops, x: [
+            *harness._observe_moments(ops, x, 1.0), *harness._observe_phi(ops, x, phi)])
         state, rec = scheme.run(cfg, tape, spec)
         x = state.x
         l2sq = fem1d.l2_norm_sq_mass(cfg.ops, x)
-        assert rec.l2[-1] == pytest.approx(np.sqrt(l2sq), rel=1e-14)
-        assert rec.l4[-1] == pytest.approx(fem1d.lp_norm(cfg.ops.mesh, x, 4), rel=1e-14)
-        assert rec.l_high[-1] == pytest.approx(fem1d.lp_norm(cfg.ops.mesh, x, 12), rel=1e-14)
+        got_l2sq, l4_4, hgamma_sq, got_phi = rec.values[-1]
+        assert got_l2sq == pytest.approx(l2sq, rel=1e-14)
+        assert l4_4 == pytest.approx(fem1d.lp_norm(cfg.ops.mesh, x, 4) ** 4, rel=1e-14)
         # gamma = 1 seminorm is the stiffness quadratic form
-        assert rec.hgamma_sq[-1] == pytest.approx(
+        assert hgamma_sq == pytest.approx(
             x @ fem1d.tridiag_matvec(cfg.ops.stiffness, x), rel=1e-13)
-        assert rec.phi[-1] == pytest.approx(np.sin(np.pi / 4 - l2sq), rel=1e-14)
+        assert got_phi == pytest.approx(np.sin(np.pi / 4 - l2sq), rel=1e-14)
 
     def test_gamma_seminorm_uses_spectrum(self):
         # against sum_j lambda_j^gamma <M v, e_j>^2 over the dense eigenpairs
@@ -342,11 +354,10 @@ class TestRecording:
         lam, vec = dense_eigenpairs(1.0, n)
         Md, _ = dense_mass_stiffness(1.0, n)
         frac = np.sum(lam**0.75 * (vec.T @ Md @ v) ** 2)
-        run_spec = scheme.RecordSpec(norms=False, gamma=0.75)
         _, rec = scheme.run(
             scheme.make_scheme_config(cfg.ops, None, None, 1.0 / 8, v),
-            None, run_spec, n_steps=1)
-        assert rec.hgamma_sq[0] == pytest.approx(frac, rel=1e-12)
+            None, moment_spec(0.75), n_steps=1)
+        assert rec.values[0, 2] == pytest.approx(frac, rel=1e-12)
 
     def test_gamma_seminorm_beyond_spectrum_cap(self):
         # a discrete eigenvector at n = 2047: |v|_{H^gamma}^2 = lambda^gamma |v|_M^2,
@@ -358,7 +369,7 @@ class TestRecording:
         lam = fem1d.uniform_mesh_eigenvalue(ops.mesh, 3)
         want = lam**0.75 * fem1d.l2_norm_sq_mass(ops, v)
         _, rec = scheme.run(scheme.make_scheme_config(ops, None, None, tau, v), None,
-                            scheme.RecordSpec(norms=False, gamma=0.75), n_steps=1)
-        assert rec.hgamma_sq[0] == pytest.approx(want, rel=1e-12)
+                            moment_spec(0.75), n_steps=1)
+        assert rec.values[0, 2] == pytest.approx(want, rel=1e-12)
         # M + tau S has condition ~ 1e6 here, so the solve keeps about ten digits
-        assert rec.hgamma_sq[1] == pytest.approx(want / (1.0 + tau * lam) ** 2, rel=1e-9)
+        assert rec.values[1, 2] == pytest.approx(want / (1.0 + tau * lam) ** 2, rel=1e-9)
