@@ -25,7 +25,7 @@ from .scheme import (ObservableRecord, RecordSpec, SchemeConfig, SchemeState,
 from .smoothing_lab import (SpectralFunction, discrete_propagator,
                             exact_semigroup, rate_fit, smoothing_error)
 from .harness import (Resolution, StudyConfig, equilibration_study,
-                      make_study_config, moment_study, smoothing_study,
-                      strong_rate_study, weak_rate_study)
+                      moment_study, smoothing_study, strong_rate_study,
+                      weak_rate_study)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,8 +1,9 @@
 """Command line front end: JSON study configs in, CSV plus summary.json out.
 
 All physics and statistics live in the other modules, and each report
-lays out its own rows and summary; this one validates config documents,
-dispatches, and writes reports deterministically (17 significant digits,
+lays out its own rows and summary; this one checks the shape and types
+of config documents (harness.StudyConfig judges their values), dispatches,
+and writes reports deterministically (17 significant digits,
 fixed row and key order). Timing and environment
 data go only to summary.json so the CSV files are byte-stable for a
 given config and seed.
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .drift import DriftPolynomial, TamingParams, validate_params
+from .drift import DriftPolynomial, TamingParams
 from .errors import (CapacityError, ConfigError, ConstraintError,
                      InvalidArgumentError, NumericalBlowupError)
 from .harness import Resolution
@@ -79,26 +80,34 @@ def _number(obj, key, where, default=None, required=False, integer=False):
     return float(v)
 
 
+def _made(prefix, make, **kw):
+    """make(**kw), with an InvalidArgumentError raised as a ConfigError whose
+    message starts with prefix; a ConstraintError names its quantity and
+    passes as it is."""
+    try:
+        return make(**kw)
+    except ConstraintError:
+        raise
+    except InvalidArgumentError as e:
+        raise ConfigError(f"{prefix}{e}") from e
+
+
 def _parse_initial(spec, where):
     if spec is None or spec == "zero":
         return None
     _require(isinstance(spec, dict) and set(spec) == {"modes"},
              f'{where} must be "zero" or {{"modes": [[j, amp], ...]}}')
     modes = spec["modes"]
-    _require(isinstance(modes, list) and modes, f"{where}.modes must be a non-empty list")
-    out = []
+    _require(isinstance(modes, list), f"{where}.modes must be a list")
     for entry in modes:
-        _require(isinstance(entry, list) and len(entry) == 2,
-                 f"{where}.modes entries must be [j, amp] pairs")
-        j, amp = entry
-        _require(_is_int(j) and j >= 1, f"{where}.modes: j must be a positive integer")
-        _require(_is_number(amp), f"{where}.modes: amp must be a number")
-        out.append((j, float(amp)))
-    return tuple(out)
+        _require(isinstance(entry, list) and len(entry) == 2
+                 and _is_int(entry[0]) and _is_number(entry[1]),
+                 f"{where}.modes entries must be [j, amp] pairs, j an integer")
+    return tuple((j, float(amp)) for j, amp in modes)
 
 
 def _parse_grid(raw, where):
-    _require(isinstance(raw, list) and raw, f"{where} must be a non-empty list")
+    _require(isinstance(raw, list), f"{where} must be a list")
     out = []
     for entry in raw:
         _require(isinstance(entry, list) and len(entry) == 2
@@ -109,10 +118,12 @@ def _parse_grid(raw, where):
 
 
 def parse_document(doc, workers=1):
-    """Validate a ConfigDocument and build the study configuration.
+    """Build the study configuration of a ConfigDocument.
 
-    Returns (StudyConfig, extras) where extras holds the check-study
-    parameters that have no harness field (taming scan bounds).
+    Checks here are the document's shape and types; StudyConfig and the
+    value types it holds decide whether the values can run. Returns
+    (StudyConfig, extras) where extras holds the check-study parameters
+    that have no harness field (taming scan bounds).
     """
     _check_keys(doc, _TOP_KEYS, "document")
     _require("problem" in doc, "document.problem is required")
@@ -120,126 +131,75 @@ def parse_document(doc, workers=1):
 
     prob = doc["problem"]
     _check_keys(prob, _PROBLEM_KEYS, "problem")
-    L = _number(prob, "L", "problem", required=True)
-    _require(L > 0, "problem.L must be positive")
-
-    drift = None
-    taming = None
+    drift = taming = None
     if prob.get("drift_coeffs") is not None:
         coeffs = prob["drift_coeffs"]
-        _require(isinstance(coeffs, list) and
-                 all(_is_number(c) for c in coeffs),
+        _require(isinstance(coeffs, list) and all(_is_number(c) for c in coeffs),
                  "problem.drift_coeffs must be a list of numbers")
-        q = _number(prob, "q", "problem", required=True, integer=True)
-        try:
-            drift = DriftPolynomial(q=q, coeffs=tuple(float(c) for c in coeffs))
-        except InvalidArgumentError as e:
-            raise ConfigError(f"problem.drift_coeffs: {e}") from e
-        tm = prob.get("taming")
-        _require(tm is not None, "problem.taming is required with a drift")
-        _check_keys(tm, _TAMING_KEYS, "problem.taming")
-        vals = {k: _number(tm, k, "problem.taming", required=True)
-                for k in ("alpha", "theta", "rho", "beta1", "beta2")}
-        try:
-            taming = TamingParams(**vals)
-            validate_params(drift, taming)
-        except ConstraintError:
-            raise
-        except InvalidArgumentError as e:
-            raise ConfigError(f"problem.taming: {e}") from e
-    else:
-        _require(prob.get("taming") is None,
-                 "problem.taming given without drift_coeffs")
-
+        drift = _made("problem.drift_coeffs: ", DriftPolynomial, coeffs=tuple(coeffs),
+                      q=_number(prob, "q", "problem", required=True, integer=True))
+    if prob.get("taming") is not None:
+        _check_keys(prob["taming"], _TAMING_KEYS, "problem.taming")
+        taming = _made("problem.taming.", TamingParams, **{
+            k: _number(prob["taming"], k, "problem.taming", required=True)
+            for k in sorted(_TAMING_KEYS)})
     initial = _parse_initial(prob.get("initial", "zero"), "problem.initial")
 
-    s = None
-    K = None
+    s = K = None
     if doc.get("noise") is not None:
-        nz = doc["noise"]
-        _check_keys(nz, _NOISE_KEYS, "noise")
-        s = _number(nz, "s", "noise", required=True)
-        _require(s >= 0, "noise.s must be nonnegative")
-        K = _number(nz, "K", "noise", integer=True)
-        _require(K is None or K >= 1, "noise.K must be a positive integer")
+        _check_keys(doc["noise"], _NOISE_KEYS, "noise")
+        s = _number(doc["noise"], "s", "noise", required=True)
+        K = _number(doc["noise"], "K", "noise", integer=True)
 
     st = doc["study"]
     _require(isinstance(st, dict) and "kind" in st, "study.kind is required")
     kind = st["kind"]
     _require(kind in STUDIES, f"study.kind must be one of {sorted(STUDIES)}")
     _check_keys(st, _STUDY_COMMON | STUDIES[kind][1], f"study (kind={kind})")
-
-    grid = _parse_grid(st.get("grid"), "study.grid")
     reference = None
     if st.get("reference") is not None:
         (reference,) = _parse_grid([st["reference"]], "study.reference")
-    if kind in ("strong_rate", "weak_rate"):
-        _require(reference is not None, f"study.reference is required for {kind}")
-
-    T = _number(st, "T", "study", default=1.0)
-    _require(T > 0, "study.T must be positive")
-    samples = _number(st, "samples", "study", integer=True,
-                      required=kind in _MC_KINDS, default=1)
-    seed = _number(st, "seed", "study", integer=True,
-                   required=kind in _MC_KINDS or kind == "smoothing", default=0)
-    # the Philox key is an unsigned 64-bit integer
-    _require(0 <= seed < 2**64, f"study.seed must lie in [0, 2^64), got {seed}")
-    stride = _number(st, "stride", "study", integer=True, default=1)
     observable = st.get("observable", harness.DEFAULT_OBSERVABLE)
-    _require(isinstance(observable, str) and observable in harness.OBSERVABLES,
-             f"study.observable must be one of {sorted(harness.OBSERVABLES)}")
-
-    window = None
+    _require(isinstance(observable, str), "study.observable must be a string")
+    opt = {}     # the optional keys given; StudyConfig's defaults stand for the rest
     if st.get("window") is not None:
         w = st["window"]
-        _require(isinstance(w, list) and len(w) == 2,
-                 "study.window must be [low, high]")
+        _require(isinstance(w, list) and len(w) == 2, "study.window must be [low, high]")
         ends = dict(zip(("low", "high"), w))
-        window = (_number(ends, "low", "study.window", required=True),
-                  _number(ends, "high", "study.window"))
-
-    crn = st.get("crn_tapes", False)
-    _require(isinstance(crn, bool), "study.crn_tapes must be true or false")
-    initials = None
-    if kind == "equilibrate":
-        raw = st.get("initials")
-        _require(isinstance(raw, list) and raw, "study.initials is required for equilibrate")
-        initials = tuple(_parse_initial(e, f"study.initials[{i}]")
-                         for i, e in enumerate(raw))
-    times = ()
-    p = 2.0
-    if kind == "smoothing":
-        raw = st.get("times", [1.0])
-        _require(isinstance(raw, list) and raw
-                 and all(_is_number(t) and math.isfinite(t) and t > 0 for t in raw),
-                 "study.times must be a non-empty list of finite positive numbers")
-        times = tuple(float(t) for t in raw)
-        p = st.get("p", 2.0)
-        if p in ("inf", "Infinity"):
-            p = math.inf
-        else:
-            _require(_is_number(p), 'study.p must be a number or "inf"')
-            p = float(p)
-        _require(p >= 2, f"study.p must lie in [2, inf], got {p}")
+        opt["window"] = (_number(ends, "low", "study.window", required=True),
+                         _number(ends, "high", "study.window"))
+    if "crn_tapes" in st:
+        opt["crn_tapes"] = st["crn_tapes"]
+        _require(isinstance(opt["crn_tapes"], bool), "study.crn_tapes must be true or false")
+    if "initials" in st:
+        _require(isinstance(st["initials"], list), "study.initials must be a list")
+        opt["initials"] = tuple(_parse_initial(e, f"study.initials[{i}]")
+                                for i, e in enumerate(st["initials"]))
+    if "times" in st:
+        _require(isinstance(st["times"], list) and all(_is_number(t) for t in st["times"]),
+                 "study.times must be a list of numbers")
+        opt["times"] = tuple(float(t) for t in st["times"])
+    if "p" in st:
+        p = math.inf if st["p"] in ("inf", "Infinity") else st["p"]
+        _require(_is_number(p), 'study.p must be a number or "inf"')
+        opt["p"] = float(p)
 
     extras = {}
     if kind == "taming_check":
-        _require(drift is not None, "taming_check needs problem.drift_coeffs")
         extras["u_max"] = _number(st, "u_max", "study", default=100.0)
         extras["u_step"] = _number(st, "u_step", "study", default=0.01)
-        _require(extras["u_max"] > 0 and extras["u_step"] > 0,
-                 "study.u_max and study.u_step must be positive")
 
-    try:
-        cfg = harness.make_study_config(
-            kind=kind, L=L, drift=drift, taming=taming, initial_modes=initial,
-            s=s, K=None if K is None else int(K), grid=grid, reference=reference,
-            T=T, samples=int(samples), seed=int(seed), stride=int(stride),
-            observable=observable, crn_tapes=crn, workers=int(workers),
-            initials=initials, times=times, p=p, window=window,
-        )
-    except InvalidArgumentError as e:
-        raise ConfigError(str(e)) from e
+    cfg = _made("", harness.StudyConfig,
+                kind=kind, L=_number(prob, "L", "problem", required=True),
+                drift=drift, taming=taming, initial_modes=initial, s=s, K=K,
+                grid=_parse_grid(st.get("grid"), "study.grid"), reference=reference,
+                T=_number(st, "T", "study", default=1.0),
+                samples=_number(st, "samples", "study", integer=True,
+                                required=kind in _MC_KINDS, default=1),
+                seed=_number(st, "seed", "study", integer=True,
+                             required=kind in _MC_KINDS or kind == "smoothing", default=0),
+                stride=_number(st, "stride", "study", integer=True, default=1),
+                observable=observable, workers=workers, **opt)
     return cfg, extras
 
 
@@ -365,7 +325,7 @@ def main(argv=None):
         print(f"{cfg.kind}: {report.outcome()}")
         return 0
     except (ConfigError, InvalidArgumentError, CapacityError) as e:
-        # also what only the harness can check, e.g. a time off the step grid
+        # InvalidArgumentError: a ConstraintError, or a taming scan's bounds
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except NumericalBlowupError as e:

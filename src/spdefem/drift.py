@@ -7,8 +7,9 @@ coefficient (degree 2q-1, q >= 2). The tamed variant divides f by
 
 which bounds the effective nonlinearity per step while converging to f
 as tau, h -> 0. The exponents must satisfy a strict smallness constraint
-tied to q and the spatial dimension; validate_params enforces the
-strictest published form and classify_params reports the looser ones.
+tied to q and the spatial dimension d (d = 1 here: the meshes are
+intervals); validate_params enforces the strictest published form and
+classify_params reports the looser ones.
 """
 
 from dataclasses import dataclass
@@ -20,11 +21,10 @@ from .errors import ConstraintError, InvalidArgumentError
 
 @dataclass(frozen=True)
 class DriftPolynomial:
-    """f(u) = sum_k coeffs[k] u^k with len(coeffs) == 2q and coeffs[-1] < 0."""
+    """f(u) = sum_k coeffs[k] u^k with len(coeffs) == 2q, finite, coeffs[-1] < 0."""
 
     q: int
     coeffs: tuple
-    d: int = 1
 
     def __post_init__(self):
         if int(self.q) != self.q or self.q < 2:
@@ -35,15 +35,13 @@ class DriftPolynomial:
             raise InvalidArgumentError(
                 f"need {2 * self.q} coefficients for degree {2 * self.q - 1}, got {len(c)}"
             )
+        if not np.isfinite(c).all():
+            raise InvalidArgumentError(f"coefficients must be finite, got {list(c)}")
         if not c[-1] < 0:
             raise InvalidArgumentError(
                 f"leading coefficient must be negative, got {c[-1]}"
             )
         object.__setattr__(self, "coeffs", c)
-        if self.d not in (1, 2, 3):
-            raise InvalidArgumentError(f"spatial dimension must be 1, 2 or 3, got {self.d}")
-        if self.d == 3 and self.q != 2:
-            raise InvalidArgumentError("d=3 requires q=2 (cubic drift)")
 
 
 @dataclass(frozen=True)
@@ -59,8 +57,8 @@ class TamingParams:
             raise InvalidArgumentError(f"alpha must lie in (0, 1], got {self.alpha}")
         for name in ("theta", "rho", "beta1", "beta2"):
             v = getattr(self, name)
-            if not v > 0:
-                raise InvalidArgumentError(f"{name} must be positive, got {v}")
+            if not 0 < v < np.inf:
+                raise InvalidArgumentError(f"{name} must be finite and positive, got {v}")
 
 
 def eval_f(poly, u):
@@ -99,7 +97,7 @@ def constraint_thresholds(q, d):
 
 def classify_params(poly, params):
     """Report the exponent products against every threshold form."""
-    t = constraint_thresholds(poly.q, poly.d)
+    t = constraint_thresholds(poly.q, 1)
     prod_theta = params.alpha * params.theta
     prod_rho = params.alpha * params.rho / 2.0
     worst = max(prod_theta, prod_rho)
@@ -112,7 +110,7 @@ def classify_params(poly, params):
 
 
 def validate_params(poly, params):
-    """Enforce max{alpha*theta, alpha*rho/2} < 1 + d/(4q(2q-1)) - d/4.
+    """Enforce max{alpha*theta, alpha*rho/2} < 1 + d/(4q(2q-1)) - d/4, d = 1.
 
     This is the strictest of the published threshold variants; passing it
     is sufficient for all of them. Raises ConstraintError naming the
@@ -127,7 +125,7 @@ def validate_params(poly, params):
             offender = f"alpha*rho/2 = {info['alpha_rho_half']:.6g}"
         raise ConstraintError(
             f"taming exponent constraint violated: {offender} must be "
-            f"< 1 + d/(4q(2q-1)) - d/4 = {t:.10g} (q={poly.q}, d={poly.d})"
+            f"< 1 + d/(4q(2q-1)) - d/4 = {t:.10g} (q={poly.q}, d=1)"
         )
     return params
 

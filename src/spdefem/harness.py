@@ -8,6 +8,11 @@ only distribute whole blocks, so results are bit-identical for any
 worker count. Per-sample randomness is keyed by (master_seed, stream,
 sample_index) through the counter-based generator in the noise module;
 nothing depends on scheduling.
+
+Validation contract: StudyConfig is the one place that decides whether a
+study can run. Building one rejects every config its study could not run
+to the end, so a study never fails on its config after its first step,
+and the study functions carry no config checks of their own.
 """
 
 import contextlib
@@ -24,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__, fem1d, noise, scheme
-from .drift import one_sided_constant, taming_inequality_suite
+from .drift import one_sided_constant, taming_inequality_suite, validate_params
 from .errors import CapacityError, InvalidArgumentError
 from .smoothing_lab import rate_fit, rough_initial, smoothing_error
 
@@ -77,6 +82,21 @@ DEFAULT_WINDOWS = {
 }
 
 
+# the kinds that fit a rate over their grid, and the recorded kinds' window
+# [frac T, T] with the fewest recorded times it must hold
+RATE_KINDS = ("strong_rate", "weak_rate", "smoothing")
+RECORD_WINDOWS = {"equilibrate": (0.75, 1), "longtime": (0.5, 2)}
+
+
+def _require(ok, msg):
+    if not ok:
+        raise InvalidArgumentError(msg)
+
+
+def _finite(*vals):
+    return all(math.isfinite(v) for v in vals)
+
+
 @dataclass(frozen=True)
 class Resolution:
     """tau = T / 2^m, h = L / 2^h_exp (so n_interior = 2^h_exp - 1)."""
@@ -87,6 +107,10 @@ class Resolution:
 
 @dataclass(frozen=True)
 class StudyConfig:
+    """What a study runs on. Building one, by dataclasses.replace too,
+    raises InvalidArgumentError (ConstraintError for the taming exponents)
+    naming the document field for any config its study could not run."""
+
     kind: str
     L: float
     drift: object                      # DriftPolynomial or None
@@ -104,39 +128,76 @@ class StudyConfig:
     crn_tapes: bool = False            # weak studies: share tapes across resolutions
     workers: int = 1
     initials: Optional[tuple] = None   # equilibration: tuple of initial_modes specs
-    times: tuple = ()                  # smoothing: measurement times
+    times: tuple = (1.0,)              # smoothing: measurement times
     p: float = 2.0                     # smoothing: norm exponent
     window: Optional[tuple] = None     # fitted-order window override
 
-
-def make_study_config(**kw):
-    cfg = StudyConfig(**kw)
-    if not cfg.grid:
-        raise InvalidArgumentError("empty resolution grid")
-    if not (cfg.T > 0 and cfg.samples >= 1 and cfg.stride >= 1 and cfg.workers >= 1):
-        raise InvalidArgumentError("need T > 0, samples >= 1, stride >= 1, workers >= 1")
-    for r in cfg.grid:
-        if r.m < 0 or r.h_exp < 1:
-            raise InvalidArgumentError(f"bad resolution {r}")
-    if cfg.reference is not None:
-        ref = cfg.reference
-        finer_somewhere = any(ref.m > r.m or ref.h_exp > r.h_exp for r in cfg.grid)
-        at_least = all(ref.m >= r.m and ref.h_exp >= r.h_exp for r in cfg.grid)
-        if not (finer_somewhere and at_least):
-            raise InvalidArgumentError(
-                "reference resolution must be strictly finer than every grid entry"
-            )
-    if cfg.observable not in OBSERVABLES:
-        raise InvalidArgumentError(
-            f"unknown observable {cfg.observable!r}; "
-            f"available: {sorted(OBSERVABLES)}"
-        )
-    if cfg.drift is not None and cfg.taming is None:
-        raise InvalidArgumentError("taming parameters required with a drift")
-    if any(b <= a for a, b in zip(cfg.times, cfg.times[1:])):
-        raise InvalidArgumentError(
-            f"study.times must be strictly increasing, got {list(cfg.times)}")
-    return cfg
+    def __post_init__(self):
+        kind, grid, ref, times = self.kind, self.grid, self.reference, self.times
+        _require(_finite(self.L) and self.L > 0,
+                 f"problem.L must be finite and positive, got {self.L}")
+        _require((self.drift is None) == (self.taming is None),
+                 "problem.taming and problem.drift_coeffs go together")
+        if self.drift is not None:
+            validate_params(self.drift, self.taming)
+        starts = {"problem.initial": self.initial_modes}
+        starts.update((f"study.initials[{i}]", m) for i, m in enumerate(self.initials or ()))
+        for where, modes in starts.items():
+            _require(modes is None or modes and all(j >= 1 and _finite(a) for j, a in modes),
+                     f"{where}.modes must be [j >= 1, finite amp] pairs, got {modes}")
+        _require(_finite(self.T) and self.T > 0,
+                 f"study.T must be finite and positive, got {self.T}")
+        _require(grid and all(r.m >= 0 and r.h_exp >= 1 for r in grid),
+                 f"study.grid must be a non-empty list of [m >= 0, h_exp >= 1], got {grid}")
+        _require(ref is not None or kind not in ("strong_rate", "weak_rate"),
+                 f"study.reference is required for {kind}")
+        _require(ref is None or all(ref != r and ref.m >= r.m and ref.h_exp >= r.h_exp
+                                    for r in grid),
+                 "study.reference must be strictly finer than every study.grid entry")
+        _require(kind not in RATE_KINDS or len(grid) >= 3 and _fit_axis(self),
+                 "study.grid of a rate fit needs >= 3 entries varying exactly one of "
+                 f"(m, h_exp), got {[[r.m, r.h_exp] for r in grid]}")
+        _require(self.samples >= 1, f"study.samples must be >= 1, got {self.samples}")
+        _require(self.stride >= 1, f"study.stride must be >= 1, got {self.stride}")
+        _require(self.workers >= 1, f"need workers >= 1, got {self.workers}")
+        # the Philox key is an unsigned 64-bit integer
+        _require(0 <= self.seed < 2**64, f"study.seed must lie in [0, 2^64), got {self.seed}")
+        _require(self.observable in OBSERVABLES,
+                 f"study.observable must be one of {sorted(OBSERVABLES)}")
+        lo, hi = self.window or (0.0, None)
+        _require(_finite(lo) and (hi is None or _finite(hi)),
+                 f"study.window ends must be finite, got {self.window}")
+        _require(self.p >= 2, f"study.p must lie in [2, inf], got {self.p}")
+        try:
+            noise_model_for(self)
+        except InvalidArgumentError as e:
+            raise InvalidArgumentError(f"noise.{e}") from e
+        if kind == "smoothing":
+            _require(times and _finite(*times) and times[0] > 0
+                     and all(a < b for a, b in zip(times, times[1:])),
+                     "study.times must be finite, positive and strictly increasing, "
+                     f"got {list(times)}")
+            for r in grid:
+                n = np.divide(times, _tau_for(self, r))
+                _require(np.all(abs(n - n.round()) <= 1e-9),
+                         f"study.times {list(times)} are not all step multiples of "
+                         f"tau = {_tau_for(self, r)} (study.grid entry [{r.m}, {r.h_exp}])")
+        if kind in RECORD_WINDOWS:
+            _require(len(grid) == 1, f"study.grid of {kind} must hold one resolution")
+            held = np.count_nonzero(_record_window(self)[1])
+            least = RECORD_WINDOWS[kind][1]
+            _require(held >= least,
+                     f"study.stride {self.stride} records {held} time(s) in "
+                     f"[{_window_start(self):g}, {self.T:g}], fewer than the {least} "
+                     "the study needs")
+        if kind == "equilibrate":
+            _require(self.initials, "study.initials is required for equilibrate")
+            lam1 = fem1d.uniform_mesh_eigenvalue(_mesh_for(self, grid[0]), 1)
+            _require(self.drift is None or one_sided_constant(self.drift) < lam1,
+                     "problem.drift_coeffs: equilibrate needs the contraction regime "
+                     f"L_f < lambda_1 = {lam1:.6g}")
+        _require(kind != "taming_check" or self.drift is not None,
+                 "taming_check needs problem.drift_coeffs")
 
 
 # ---------------------------------------------------------------- runtime
@@ -327,20 +388,23 @@ def _mean_se(a):
     return mean, se
 
 
-def _recorded(cfg, leg, lo, least):
-    """Run a one-resolution study's recorded leg.
+def _window_start(cfg):
+    return RECORD_WINDOWS[cfg.kind][0] * cfg.T
 
-    Returns its recorded times, their mask of [lo, T] and its values as
-    (times, quantities, starts, samples). Raises InvalidArgumentError
-    before stepping when the mask holds fewer than least times.
+
+def _record_window(cfg):
+    """A recorded study's recorded times and their mask of its window."""
+    times = np.arange(0, 2**cfg.grid[0].m + 1, cfg.stride) * _tau_for(cfg, cfg.grid[0])
+    return times, times >= _window_start(cfg) - 1e-12
+
+
+def _recorded(cfg, leg):
+    """Run a recorded study's one leg.
+
+    Returns its recorded times, their mask of the study's window and its
+    values as (times, quantities, starts, samples).
     """
-    times = np.arange(0, 2**leg.res.m + 1, cfg.stride) * _tau_for(cfg, leg.res)
-    sel = times >= lo - 1e-12
-    held = np.count_nonzero(sel)
-    if held < least:
-        raise InvalidArgumentError(
-            f"study.stride {cfg.stride} records {held} time(s) in [{lo:g}, {cfg.T:g}], "
-            f"fewer than the {least} the study needs")
+    times, sel = _record_window(cfg)
 
     def per_sample(blk):
         rec = blk[0]
@@ -381,15 +445,14 @@ def _metadata(cfg, model, wall_time):
 
 
 def _fit_axis(cfg):
+    """The axis the grid varies along, or None unless it varies exactly one."""
     hs = {r.h_exp for r in cfg.grid}
     ms = {r.m for r in cfg.grid}
     if len(hs) == 1 and len(ms) > 1:
         return "tau"
     if len(ms) == 1 and len(hs) > 1:
         return "h"
-    raise InvalidArgumentError(
-        "grid must vary exactly one of (m, h_exp) for a rate fit"
-    )
+    return None
 
 
 def _window_for(cfg, axis):
@@ -505,8 +568,6 @@ def strong_rate_study(cfg):
     tape (common random numbers); spatial grids are compared after exact
     interpolation onto the reference mesh.
     """
-    if cfg.reference is None:
-        raise InvalidArgumentError("strong study needs a reference resolution")
     t0 = time.perf_counter()
     ref = cfg.reference
     ref_ops = fem1d.assemble_operators(_mesh_for(cfg, ref))
@@ -537,8 +598,6 @@ def weak_rate_study(cfg):
     shares one tape per sample across resolutions (variance reduction,
     recorded in metadata) and then errors use paired standard errors.
     """
-    if cfg.reference is None:
-        raise InvalidArgumentError("weak study needs a reference resolution")
     t0 = time.perf_counter()
     # CRN: every resolution on stream 0; otherwise grid entry g on stream 1 + g
     legs = [Leg(r, 0 if cfg.crn_tapes else 1 + g, (cfg.initial_modes,))
@@ -622,22 +681,10 @@ def equilibration_study(cfg):
     means witness contraction rather than averaging luck. Agreement is
     judged on per-sample means over the final window t in [3T/4, T].
     """
-    if not cfg.initials:
-        raise InvalidArgumentError("equilibration needs at least one initial condition")
-    if len(cfg.grid) != 1:
-        raise InvalidArgumentError("equilibration runs a single resolution")
-    if cfg.drift is not None:
-        lam1 = fem1d.uniform_mesh_eigenvalue(_mesh_for(cfg, cfg.grid[0]), 1)
-        if not one_sided_constant(cfg.drift) < lam1:
-            raise InvalidArgumentError(
-                "equilibration requires the contraction regime L_f < lambda_1"
-            )
     t0 = time.perf_counter()
-    w0, w1 = 0.75 * cfg.T, cfg.T
     spec = scheme.RecordSpec(cfg.stride, functools.partial(
         _observe_phi, phi=OBSERVABLES[cfg.observable]))
-    times, sel, vals = _recorded(cfg, Leg(cfg.grid[0], 0, tuple(cfg.initials), spec),
-                                 w0, 1)
+    times, sel, vals = _recorded(cfg, Leg(cfg.grid[0], 0, tuple(cfg.initials), spec))
     vals = vals[:, 0]                          # (times, starts, samples)
     n_ic, n = vals.shape[1:]
     means, ses = (a.T for a in _mean_se(vals))
@@ -661,7 +708,7 @@ def equilibration_study(cfg):
     meta = _metadata(cfg, noise_model_for(cfg), time.perf_counter() - t0)
     return EquilibrationReport(
         times=times, labels=tuple(_initial_label(m) for m in cfg.initials),
-        means=means, stderrs=ses, window=(w0, w1),
+        means=means, stderrs=ses, window=(_window_start(cfg), cfg.T),
         window_means=window_means, window_stderrs=window_ses,
         pairwise=pairwise, agreement=agreement, flags=flags, metadata=meta,
     )
@@ -712,15 +759,11 @@ def moment_study(cfg):
     estimated per sample (one OLS slope per path, then mean and standard
     error across paths).
     """
-    if len(cfg.grid) != 1:
-        raise InvalidArgumentError("moment study runs a single resolution")
     t0 = time.perf_counter()
     model = noise_model_for(cfg)
     spec = scheme.RecordSpec(cfg.stride, functools.partial(
         _observe_moments, gamma=1.0 if model is None else model.gamma_report))
-    half = cfg.T / 2.0
-    times, sel, vals = _recorded(cfg, Leg(cfg.grid[0], 0, (cfg.initial_modes,), spec),
-                                 half, 2)
+    times, sel, vals = _recorded(cfg, Leg(cfg.grid[0], 0, (cfg.initial_modes,), spec))
     vals = vals[:, :, 0]                       # (times, MOMENTS, samples)
     n = vals.shape[-1]
     mean, se = _mean_se(vals)
@@ -734,7 +777,8 @@ def moment_study(cfg):
               for k, nm in enumerate(MOMENTS)}
     meta = _metadata(cfg, model, time.perf_counter() - t0)
     return MomentReport(times=times, series=series,
-                        trend_window=(half, cfg.T), trends=trends, metadata=meta)
+                        trend_window=(_window_start(cfg), cfg.T), trends=trends,
+                        metadata=meta)
 
 
 # --------------------------------------------------------------- smoothing
@@ -779,31 +823,26 @@ def smoothing_study(cfg):
     config), unit L2 norm. The fit runs at the first configured time;
     later times feed the monotone time-decay check at fixed resolution.
     """
-    times = cfg.times or (1.0,)
     v = rough_initial(ROUGH_MODES, cfg.seed, cfg.L)
     t0 = time.perf_counter()
     rows = []
     row_res = []
     first = []
-    decay_ok = True if len(times) > 1 else None
+    decay_ok = True if len(cfg.times) > 1 else None
     for res in cfg.grid:
         ops = fem1d.assemble_operators(_mesh_for(cfg, res))
         tau = _tau_for(cfg, res)
         per_time = []
-        for t in times:
-            n = t / tau
-            if abs(n - round(n)) > 1e-9:
-                raise InvalidArgumentError(
-                    f"time {t} is not a step multiple of tau={tau}")
-            smp = smoothing_error(ops, tau, int(round(n)), cfg.p, v)
+        for t in cfg.times:
+            smp = smoothing_error(ops, tau, round(t / tau), cfg.p, v)
             rows.append(smp)
             row_res.append(res)
             per_time.append(smp.error)
         first.append(per_time[0])
-        if len(times) > 1 and per_time[-1] > per_time[0]:
+        if len(cfg.times) > 1 and per_time[-1] > per_time[0]:
             decay_ok = False
     meta = _metadata(cfg, None, time.perf_counter() - t0)
-    meta.update(p=cfg.p, times=list(times), rough_modes=ROUGH_MODES)
+    meta.update(p=cfg.p, times=list(cfg.times), rough_modes=ROUGH_MODES)
     fit = fit_report(cfg, first, np.zeros(len(first)), meta)
     return SmoothingReport(samples=rows, resolutions=tuple(row_res), axis=fit.axis,
                            fitted_order=fit.fitted_order, fit_stderr=fit.fit_stderr,
@@ -841,6 +880,9 @@ MAX_SCAN_POINTS = 40_001
 
 def taming_check_study(cfg, u_max, u_step):
     """The taming inequalities of every grid entry's (tau, h) on a scan of u."""
+    if u_max <= 0 or u_step <= 0:
+        raise InvalidArgumentError(
+            f"study.u_max and study.u_step must be positive, got {u_max} and {u_step}")
     ratio = u_max / u_step
     if not ratio < MAX_SCAN_POINTS / 2:     # 2 round(ratio) + 1 <= the cap; not nan
         raise CapacityError(f"taming scan of about {2 * ratio + 1:.3g} points (study.u_max"

@@ -83,11 +83,11 @@ def reporting_gamma(s):
 
 
 def make_noise_model(s, K, L=1.0):
-    if s < 0:
-        raise InvalidArgumentError(f"spectral decay s must be >= 0, got {s}")
+    if not 0 <= s < math.inf:
+        raise InvalidArgumentError(f"s (spectral decay) must be finite and >= 0, got {s}")
     K = int(K)
     if K < 1:
-        raise InvalidArgumentError(f"truncation level K must be >= 1, got {K}")
+        raise InvalidArgumentError(f"K (truncation level) must be >= 1, got {K}")
     if not L > 0:
         raise InvalidArgumentError(f"domain length must be positive, got {L}")
     return NoiseModel(s=float(s), K=K, L=float(L), gamma_report=reporting_gamma(s))

@@ -9,7 +9,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from spdefem import cli, fem1d
+from spdefem import cli, fem1d, harness
 from spdefem.errors import ConfigError, ConstraintError
 
 TINY_STRONG = {
@@ -42,6 +42,81 @@ def doc_file(tmp_path, doc, name="cfg.json"):
 def preset_names():
     root = resources.files("spdefem") / "presets"
     return sorted(e.name for e in root.iterdir() if e.name.endswith(".json"))
+
+
+# (subcommand, preset or None for TINY_STRONG, key, value, the field the
+# error must name); key is a dotted document path, a bare name in study,
+# or a command line flag
+MALFORMED = [
+    ("smoothing", "smoothing_spatial", "p", "two", "study.p"),
+    ("smoothing", "smoothing_spatial", "p", None, "study.p"),
+    ("strong-rate", None, "window", ["a", 1.5], "study.window.low"),
+    ("strong-rate", None, "window", [None, 1.5], "study.window.low"),
+    ("strong-rate", None, "window", [0.5, "b"], "study.window.high"),
+    ("weak-rate", "weak_trace_class_ci", "crn_tapes", "no", "study.crn_tapes"),
+    ("strong-rate", None, "observable", ["l2"], "study.observable"),
+    # JSON true loads as a bool, which Python counts as the integer 1
+    ("strong-rate", None, "grid", [[True, 5]], "study.grid"),
+    ("strong-rate", None, "problem.drift_coeffs", [0, True, 0, -1],
+     "problem.drift_coeffs"),
+    ("equilibrate", "equilibrate_ci", "initials", [{"modes": [[True, 2.0]]}],
+     "study.initials[0].modes"),
+    ("equilibrate", "equilibrate_ci", "initials", [{"modes": [[1, True]]}],
+     "study.initials[0].modes"),
+    ("smoothing", "smoothing_spatial", "times", [True], "study.times"),
+    ("smoothing", "smoothing_spatial", "p", -math.inf, "study.p"),
+    ("smoothing", "smoothing_spatial", "times", [math.inf], "study.times"),
+    ("smoothing", "smoothing_spatial", "times", [math.nan], "study.times"),
+    # out of order, the fit would be taken at the wrong time
+    ("smoothing", "smoothing_temporal", "times", [4.0, 1.0], "study.times"),
+    ("smoothing", "smoothing_temporal", "times", [1.0, 1.0], "study.times"),
+    # a 2e11-point scan, refused before anything is allocated
+    ("taming-check", "taming_check", "u_step", 1e-9, "study.u_step"),
+    # the Philox key is a uint64
+    ("strong-rate", None, "seed", -1, "study.seed"),
+    ("strong-rate", None, "--seed", 2**64, "study.seed"),
+    ("strong-rate", None, "--workers", -3, "workers >= 1"),
+    # one recorded time in the trend window [T/2, T], none in [3T/4, T]:
+    # refused before any step instead of a nan slope or window mean
+    ("longtime", "longtime_ci", "stride", 2048, "study.stride"),
+    ("equilibrate", "equilibrate_ci", "stride", 1024, "study.stride"),
+    # a grid that varies both axes, and one of two entries: no rate to fit
+    ("strong-rate", "trace_class_ci", "grid", [[6, 5], [7, 6], [8, 6]], "study.grid"),
+    ("strong-rate", "trace_class_ci", "grid", [[6, 6], [7, 6]], "study.grid"),
+    ("smoothing", "smoothing_spatial", "grid", [[14, 3], [14, 4]], "study.grid"),
+    ("equilibrate", "equilibrate_ci", "grid", [[9, 5], [9, 6]], "study.grid"),
+    # non-finite numbers, each once stepped into an overflow, a blowup or nan
+    ("strong-rate", None, "T", math.inf, "study.T"),
+    ("strong-rate", None, "noise.s", math.inf, "noise.s"),
+    ("strong-rate", None, "noise.s", math.nan, "noise.s"),
+    ("strong-rate", None, "problem.taming.beta1", math.inf, "problem.taming.beta1"),
+    ("strong-rate", None, "problem.taming.beta2", math.inf, "problem.taming.beta2"),
+    ("strong-rate", None, "problem.taming.theta", math.nan, "problem.taming.theta"),
+    ("strong-rate", None, "problem.drift_coeffs", [0, math.nan, 0, -1],
+     "problem.drift_coeffs"),
+    ("strong-rate", None, "problem.drift_coeffs", [math.inf, 1, 0, -1],
+     "problem.drift_coeffs"),
+    ("strong-rate", None, "problem.drift_coeffs", [0, 1, 0, -math.inf],
+     "problem.drift_coeffs"),
+    ("strong-rate", None, "window", [math.nan, 1.0], "study.window"),
+    ("strong-rate", None, "problem.initial", {"modes": [[1, math.nan]]},
+     "problem.initial"),
+    ("taming-check", "taming_check", "problem.drift_coeffs", None, "problem.drift_coeffs"),
+    # every other document field
+    ("strong-rate", None, "problem.L", 0.0, "problem.L"),
+    ("strong-rate", None, "problem.q", 2.5, "problem.q"),
+    ("strong-rate", None, "problem.taming.alpha", 0.0, "problem.taming.alpha"),
+    ("strong-rate", None, "problem.taming.rho", -1.0, "problem.taming.rho"),
+    ("strong-rate", None, "noise.K", 0, "noise.K"),
+    ("strong-rate", None, "kind", "strong", "study.kind"),
+    ("strong-rate", None, "samples", 0, "study.samples"),
+    ("strong-rate", None, "reference", [8, 2], "study.reference"),
+    ("taming-check", "taming_check", "u_max", -1.0, "study.u_max"),
+    ("equilibrate", "equilibrate_ci", "initials", [{"modes": [[0, 2.0]]}],
+     "study.initials[0].modes"),
+    ("equilibrate", "equilibrate_ci", "problem.drift_coeffs", [0, 40, 0, -1],
+     "problem.drift_coeffs"),
+]
 
 
 class TestDocumentParsing:
@@ -113,54 +188,38 @@ class TestMainExitCodes:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
 
-    @pytest.mark.parametrize("sub,preset,key,value,field", [
-        ("smoothing", "smoothing_spatial", "p", "two", "study.p"),
-        ("smoothing", "smoothing_spatial", "p", None, "study.p"),
-        ("strong-rate", None, "window", ["a", 1.5], "study.window.low"),
-        ("strong-rate", None, "window", [None, 1.5], "study.window.low"),
-        ("strong-rate", None, "window", [0.5, "b"], "study.window.high"),
-        ("weak-rate", "weak_trace_class_ci", "crn_tapes", "no", "study.crn_tapes"),
-        ("strong-rate", None, "observable", ["l2"], "study.observable"),
-        # JSON true loads as a bool, which Python counts as the integer 1
-        ("strong-rate", None, "grid", [[True, 5]], "study.grid"),
-        ("strong-rate", None, "problem.drift_coeffs", [0, True, 0, -1],
-         "problem.drift_coeffs"),
-        ("equilibrate", "equilibrate_ci", "initials", [{"modes": [[True, 2.0]]}],
-         "study.initials[0].modes"),
-        ("equilibrate", "equilibrate_ci", "initials", [{"modes": [[1, True]]}],
-         "study.initials[0].modes"),
-        ("smoothing", "smoothing_spatial", "times", [True], "study.times"),
-        ("smoothing", "smoothing_spatial", "p", -math.inf, "study.p"),
-        ("smoothing", "smoothing_spatial", "times", [math.inf], "study.times"),
-        ("smoothing", "smoothing_spatial", "times", [math.nan], "study.times"),
-        # out of order, the fit would be taken at the wrong time
-        ("smoothing", "smoothing_temporal", "times", [4.0, 1.0], "study.times"),
-        ("smoothing", "smoothing_temporal", "times", [1.0, 1.0], "study.times"),
-        # a 2e11-point scan, refused before anything is allocated
-        ("taming-check", "taming_check", "u_step", 1e-9, "study.u_step"),
-        # the Philox key is a uint64
-        ("strong-rate", None, "seed", -1, "study.seed"),
-        ("strong-rate", None, "--seed", 2**64, "study.seed"),
-        ("strong-rate", None, "--workers", -3, "workers >= 1"),
-        # one recorded time in the trend window [T/2, T], none in [3T/4, T]:
-        # refused before any step instead of a nan slope or window mean
-        ("longtime", "longtime_ci", "stride", 2048, "study.stride"),
-        ("equilibrate", "equilibrate_ci", "stride", 1024, "study.stride"),
-    ])
-    def test_malformed_field_exits_2(self, tmp_path, capsys, sub, preset, key, value,
-                                     field):
+    @pytest.mark.parametrize("sub,preset,key,value,field", MALFORMED)
+    def test_malformed_field_exits_2(self, tmp_path, capsys, monkeypatch, sub, preset,
+                                     key, value, field):
+        # a rejection after the work has started exits 1 and fails the row
+        def no_work(*args, **kwargs):
+            raise AssertionError("the study started work on an invalid config")
+        monkeypatch.setattr(harness, "_paths_block", no_work)
+        monkeypatch.setattr(harness, "smoothing_error", no_work)
         doc = copy.deepcopy(TINY_STRONG) if preset is None else cli.load_document(preset)
         flags = []
         if key.startswith("--"):
             flags = [key, str(value)]
         else:
-            # key is "section.name", or a bare name in study
-            section, _, name = key.rpartition(".")
-            doc[section or "study"][name] = value
+            *path, name = key.split(".")
+            node = doc if path else doc["study"]
+            for part in path:
+                node = node[part]
+            node[name] = value
         rc = cli.main([sub, "--config", doc_file(tmp_path, doc),
                        "--out", str(tmp_path / "out"), *flags])
         assert rc == 2
         assert field in capsys.readouterr().err
+
+    def test_every_document_key_has_a_malformed_row(self):
+        # a document field with no row could ship unvalidated
+        fields = [row[-1] for row in MALFORMED]
+        study_keys = cli._STUDY_COMMON.union(*(keys for _, keys in cli.STUDIES.values()))
+        sections = [("problem.", cli._PROBLEM_KEYS), ("problem.taming.", cli._TAMING_KEYS),
+                    ("noise.", cli._NOISE_KEYS), ("study.", study_keys)]
+        missing = [where + key for where, keys in sections for key in sorted(keys)
+                   if not any(re.match(re.escape(where + key) + r"\b", f) for f in fields)]
+        assert missing == []
 
     @pytest.mark.parametrize("sub", ["strong-rate", "weak-rate"])
     def test_degenerate_fit_exits_0(self, tmp_path, capsys, sub):
@@ -194,13 +253,15 @@ class TestMainExitCodes:
         assert rc == 2
 
     @pytest.mark.parametrize("grid,times", [
-        ([[3, 4], [3, 5]], [0.3]),   # 0.3 is not a multiple of tau = 1/8
-        ([[3, 4], [4, 5]], [0.5]),   # the grid varies both m and h_exp
+        ([[3, 4], [3, 5], [3, 6]], [0.3]),   # 0.3 is not a multiple of tau = 1/8
+        ([[3, 4], [4, 5], [5, 6]], [0.5]),   # the grid varies both m and h_exp
     ])
     def test_document_error_found_by_harness_exits_2(self, tmp_path, grid, times):
+        # harness.StudyConfig finds it while the document is parsed
         doc = cli.load_document("smoothing_spatial")
         doc["study"].update(T=1.0, grid=grid, times=times)
-        cli.parse_document(doc)
+        with pytest.raises(ConfigError, match=r"study\.(times|grid)"):
+            cli.parse_document(doc)
         rc = cli.main(["smoothing", "--config", doc_file(tmp_path, doc),
                        "--out", str(tmp_path / "out")])
         assert rc == 2

@@ -42,10 +42,13 @@ class TestPolynomial:
         with pytest.raises(InvalidArgumentError):
             DriftPolynomial(q=2, coeffs=(0.0, 1.0, 0.0, 1.0))
 
-    def test_dimension_gate(self):
-        DriftPolynomial(q=2, coeffs=CUBIC.coeffs, d=3)     # cubic fine in 3d
-        with pytest.raises(InvalidArgumentError):
-            DriftPolynomial(q=3, coeffs=(0.0, 1, 0, 0, 0, -1.0), d=3)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_coefficients_must_be_finite(self, bad):
+        for k in range(4):
+            coeffs = list(CUBIC.coeffs)
+            coeffs[k] = bad
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                DriftPolynomial(q=2, coeffs=tuple(coeffs))
 
 
 class TestTamedEvaluation:
@@ -146,6 +149,10 @@ class TestConstraint:
             TamingParams(alpha=0.0, theta=1.0, rho=2.0, beta1=1.0, beta2=1.0)
         with pytest.raises(InvalidArgumentError):
             TamingParams(alpha=0.25, theta=1.0, rho=2.0, beta1=-1.0, beta2=1.0)
+        for name in ("theta", "rho", "beta1", "beta2"):
+            for bad in (math.inf, math.nan):
+                with pytest.raises(InvalidArgumentError, match=f"{name} must be finite"):
+                    TamingParams(**{**vars(PARAMS), name: bad})
 
 
 class TestOneSidedConstant:

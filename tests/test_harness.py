@@ -13,14 +13,14 @@ import pytest
 from spdefem import cli, fem1d, harness, noise, scheme
 from spdefem.drift import DriftPolynomial, TamingParams
 from spdefem.errors import CapacityError, InvalidArgumentError, NumericalBlowupError
-from spdefem.harness import Resolution, make_study_config
+from spdefem.harness import Resolution, StudyConfig
 
 CUBIC = DriftPolynomial(q=2, coeffs=(0.0, 1.0, 0.0, -1.0))
 TAMING = TamingParams(alpha=0.25, theta=1.0, rho=2.0, beta1=1.0, beta2=1.0)
 
 
 def strong_cfg(samples=8, workers=1, seed=13):
-    return make_study_config(
+    return StudyConfig(
         kind="strong_rate", L=1.0, drift=CUBIC, taming=TAMING,
         initial_modes=None, s=0.5005, K=None,
         grid=(Resolution(4, 3), Resolution(5, 3), Resolution(6, 3)),
@@ -29,7 +29,7 @@ def strong_cfg(samples=8, workers=1, seed=13):
 
 
 def weak_cfg(crn, samples=32):
-    return make_study_config(
+    return StudyConfig(
         kind="weak_rate", L=1.0, drift=CUBIC, taming=TAMING,
         initial_modes=None, s=0.5005, K=None,
         grid=(Resolution(3, 3), Resolution(4, 3), Resolution(5, 3)),
@@ -38,7 +38,7 @@ def weak_cfg(crn, samples=32):
 
 
 def equilibrate_cfg():
-    return make_study_config(
+    return StudyConfig(
         kind="equilibrate", L=1.0, drift=CUBIC, taming=TAMING,
         initial_modes=None, s=0.5005, K=None,
         grid=(Resolution(6, 4),), reference=None, T=4.0,
@@ -47,7 +47,7 @@ def equilibrate_cfg():
 
 
 def moment_cfg():
-    return make_study_config(
+    return StudyConfig(
         kind="longtime", L=1.0, drift=CUBIC, taming=TAMING,
         initial_modes=((1, 2.0),), s=0.5005, K=None,
         grid=(Resolution(7, 4),), reference=None, T=16.0,
@@ -66,37 +66,35 @@ MC_STUDIES = {
 
 class TestConfigValidation:
     def test_reference_must_dominate_grid(self):
-        with pytest.raises(InvalidArgumentError):
-            make_study_config(
-                kind="strong_rate", L=1.0, drift=None, taming=None,
-                initial_modes=None, s=0.5005, K=None,
-                grid=(Resolution(4, 3), Resolution(5, 4)),
-                reference=Resolution(6, 3),   # coarser in h than part of the grid
-                T=0.5, samples=4, seed=0)
+        with pytest.raises(InvalidArgumentError, match="study.reference"):
+            dataclasses.replace(strong_cfg(), grid=(
+                Resolution(4, 3), Resolution(5, 3), Resolution(6, 3)),
+                reference=Resolution(9, 2))   # coarser in h than the grid
 
     def test_reference_equal_everywhere_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            make_study_config(
-                kind="strong_rate", L=1.0, drift=None, taming=None,
-                initial_modes=None, s=0.5005, K=None,
-                grid=(Resolution(4, 3),), reference=Resolution(4, 3),
-                T=0.5, samples=4, seed=0)
+        # equal to the finest grid entry: that entry's error would be 0
+        with pytest.raises(InvalidArgumentError, match="study.reference"):
+            dataclasses.replace(strong_cfg(), reference=Resolution(6, 3))
 
     def test_unknown_observable(self):
-        with pytest.raises(InvalidArgumentError):
-            make_study_config(
-                kind="weak_rate", L=1.0, drift=None, taming=None,
-                initial_modes=None, s=0.5005, K=None,
-                grid=(Resolution(4, 3),), reference=Resolution(6, 3),
-                T=0.5, samples=4, seed=0, observable="nope")
+        with pytest.raises(InvalidArgumentError, match="study.observable"):
+            dataclasses.replace(weak_cfg(crn=True), observable="nope")
 
     def test_drift_requires_taming(self):
-        with pytest.raises(InvalidArgumentError):
-            make_study_config(
-                kind="strong_rate", L=1.0, drift=CUBIC, taming=None,
-                initial_modes=None, s=0.5005, K=None,
-                grid=(Resolution(4, 3),), reference=Resolution(6, 3),
-                T=0.5, samples=4, seed=0)
+        with pytest.raises(InvalidArgumentError, match="problem.taming"):
+            dataclasses.replace(strong_cfg(), taming=None)
+
+    @pytest.mark.parametrize("change,field", [
+        ({"seed": -1}, "study.seed"), ({"seed": 2**64}, "study.seed"),
+        ({"T": math.inf}, "study.T"), ({"s": math.inf}, "noise.s"),
+        ({"window": (math.nan, 1.0)}, "study.window"),
+        ({"grid": (Resolution(4, 3), Resolution(5, 3))}, "study.grid"),
+        ({"initial_modes": ((1, math.nan),)}, "problem.initial"),
+        ({"kind": "taming_check", "drift": None, "taming": None}, "problem.drift_coeffs"),
+    ])
+    def test_replace_rejects_before_any_step(self, change, field):
+        with pytest.raises(InvalidArgumentError, match=field):
+            dataclasses.replace(strong_cfg(), **change)
 
     def test_default_noise_dimension_matches_finest_mesh(self):
         cfg = strong_cfg()
@@ -106,9 +104,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("times", [(4.0, 1.0), (1.0, 2.0, 2.0)])
     def test_times_must_increase(self, times):
         with pytest.raises(InvalidArgumentError, match="study.times"):
-            make_study_config(
+            StudyConfig(
                 kind="smoothing", L=1.0, drift=None, taming=None,
-                initial_modes=None, s=None, K=None, grid=(Resolution(4, 3),),
+                initial_modes=None, s=None, K=None,
+                grid=tuple(Resolution(m, 3) for m in (2, 3, 4)),
                 reference=None, T=4.0, samples=1, seed=0, times=times)
 
     @pytest.mark.parametrize("u_max,u_step", [
@@ -116,7 +115,7 @@ class TestConfigValidation:
         ((harness.MAX_SCAN_POINTS + 1) / 2, 1.0), (100.0, 1e-9), (1e300, 1e-300),
         (math.inf, 1.0), (math.nan, 1.0)])
     def test_taming_scan_capped_before_allocation(self, u_max, u_step, monkeypatch):
-        cfg = make_study_config(
+        cfg = StudyConfig(
             kind="taming_check", L=1.0, drift=CUBIC, taming=TAMING,
             initial_modes=None, s=None, K=None, grid=(Resolution(4, 4),),
             reference=None, T=1.0, samples=1, seed=0)
@@ -129,13 +128,11 @@ class TestConfigValidation:
             harness.taming_check_study(cfg, u_max, u_step)
 
     def test_mixed_axis_grid_rejected_at_fit(self):
-        cfg = make_study_config(
-            kind="strong_rate", L=1.0, drift=None, taming=None,
-            initial_modes=None, s=0.5005, K=None,
-            grid=(Resolution(4, 3), Resolution(5, 4)),
-            reference=Resolution(9, 5), T=0.5, samples=4, seed=0)
-        with pytest.raises(InvalidArgumentError):
-            harness._fit_axis(cfg)
+        # a rate is fitted along one axis: the config is refused when built
+        with pytest.raises(InvalidArgumentError, match="study.grid"):
+            dataclasses.replace(strong_cfg(), grid=(
+                Resolution(4, 3), Resolution(5, 4), Resolution(6, 4)),
+                reference=Resolution(9, 5))
 
 
 class TestStrongStudy:
@@ -169,10 +166,8 @@ class TestStrongStudy:
         assert np.all(ratio > 1.5) and np.all(ratio < 2.7)
 
     def test_reference_required(self):
-        cfg = strong_cfg()
-        cfg = dataclasses.replace(cfg, reference=None)
-        with pytest.raises(InvalidArgumentError):
-            harness.strong_rate_study(cfg)
+        with pytest.raises(InvalidArgumentError, match="study.reference"):
+            dataclasses.replace(strong_cfg(), reference=None)
 
 
 class TestStreamedTapes:
@@ -195,10 +190,10 @@ class TestStreamedTapes:
     def test_block_memory_stays_within_budget(self, monkeypatch):
         # the whole block tape would be 1024 x 15 x 64 floats = 7.9 MB
         monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**16)
-        cfg = make_study_config(
+        cfg = StudyConfig(
             kind="strong_rate", L=1.0, drift=CUBIC, taming=TAMING,
             initial_modes=None, s=0.5005, K=None,
-            grid=(Resolution(4, 4), Resolution(6, 4)),
+            grid=(Resolution(4, 4), Resolution(5, 4), Resolution(6, 4)),
             reference=Resolution(10, 4), T=0.5, samples=64, seed=1)
         legs = [harness.Leg(r, 0, (None,)) for r in (*cfg.grid, cfg.reference)]
         tracemalloc.start()
@@ -542,9 +537,8 @@ class TestEquilibration:
     def test_contraction_regime_enforced(self):
         # shift the cubic so its one-sided constant tops the first eigenvalue
         steep = DriftPolynomial(q=2, coeffs=(0.0, 40.0, 0.0, -1.0))
-        cfg = dataclasses.replace(equilibrate_cfg(), drift=steep)
-        with pytest.raises(InvalidArgumentError):
-            harness.equilibration_study(cfg)
+        with pytest.raises(InvalidArgumentError, match="contraction regime"):
+            dataclasses.replace(equilibrate_cfg(), drift=steep)
 
 
 class TestMoments:
@@ -559,7 +553,7 @@ class TestMoments:
 
 class TestSmoothingStudy:
     def test_temporal_fit_and_decay(self):
-        cfg = make_study_config(
+        cfg = StudyConfig(
             kind="smoothing", L=1.0, drift=None, taming=None,
             initial_modes=None, s=None, K=None,
             grid=tuple(Resolution(m, 6) for m in (3, 4, 5, 6)),
@@ -573,11 +567,10 @@ class TestSmoothingStudy:
         assert len(rep.samples) == 8    # 4 resolutions x 2 times
 
     def test_time_not_on_step_grid_rejected(self):
-        cfg = make_study_config(
-            kind="smoothing", L=1.0, drift=None, taming=None,
-            initial_modes=None, s=None, K=None,
-            grid=tuple(Resolution(m, 5) for m in (2, 3, 4)),
-            reference=None, T=4.0, samples=1, seed=0,
-            times=(0.3,), p=2.0)
-        with pytest.raises(InvalidArgumentError):
-            harness.smoothing_study(cfg)
+        with pytest.raises(InvalidArgumentError, match="study.times"):
+            StudyConfig(
+                kind="smoothing", L=1.0, drift=None, taming=None,
+                initial_modes=None, s=None, K=None,
+                grid=tuple(Resolution(m, 5) for m in (2, 3, 4)),
+                reference=None, T=4.0, samples=1, seed=0,
+                times=(0.3,), p=2.0)

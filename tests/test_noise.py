@@ -69,6 +69,9 @@ class TestModel:
             noise.make_noise_model(-0.5, 8, 1.0)
         with pytest.raises(InvalidArgumentError):
             noise.make_noise_model(0.5, 0, 1.0)
+        for s in (np.inf, np.nan):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                noise.make_noise_model(s, 8, 1.0)
 
 
 class TestIncrements:
@@ -200,7 +203,7 @@ def block_chunk_rows(monkeypatch, resolutions):
         raise _Sized
 
     grid = tuple(harness.Resolution(m, h) for m, h in resolutions)
-    cfg = harness.make_study_config(
+    cfg = harness.StudyConfig(
         kind="strong_rate", L=1.0, drift=None, taming=None, initial_modes=None,
         s=0.5005, K=None, grid=grid[:-1], reference=grid[-1], T=1.0,
         samples=64, seed=0)
