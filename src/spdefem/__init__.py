@@ -20,8 +20,8 @@ from .drift import (DriftPolynomial, TamingParams, eval_f, eval_f_tamed,
                     one_sided_constant, taming_inequality_suite,
                     validate_params)
 from .noise import NoiseModel, RngStream, make_noise_model
-from .scheme import (ObservableRecord, RecordSpec, SchemeConfig, SchemeState,
-                     drift_load, make_scheme_config, run, shifted_operator)
+from .scheme import (SchemeConfig, SchemeState, drift_load, make_scheme_config,
+                     run, shifted_operator)
 from .smoothing_lab import (SpectralFunction, discrete_propagator,
                             exact_semigroup, rate_fit, smoothing_error)
 from .harness import (Resolution, StudyConfig, equilibration_study,

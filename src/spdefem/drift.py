@@ -8,8 +8,7 @@ coefficient (degree 2q-1, q >= 2). The tamed variant divides f by
 which bounds the effective nonlinearity per step while converging to f
 as tau, h -> 0. The exponents must satisfy a strict smallness constraint
 tied to q and the spatial dimension d (d = 1 here: the meshes are
-intervals); validate_params enforces the strictest published form and
-classify_params reports the looser ones.
+intervals); validate_params enforces the strictest published form.
 """
 
 from dataclasses import dataclass
@@ -85,30 +84,6 @@ def eval_f_tamed(poly, params, tau, h, u):
     return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
-def constraint_thresholds(q, d):
-    """The three published forms of the exponent budget, strictest first."""
-    base = 1.0 - d / 4.0
-    return {
-        "strict": base + d / (4.0 * q * (2 * q - 1)),
-        "mid": base + d / (2.0 * q * (2 * q - 1)),
-        "loose": base + d / (1.0 * q * (2 * q - 1)),
-    }
-
-
-def classify_params(poly, params):
-    """Report the exponent products against every threshold form."""
-    t = constraint_thresholds(poly.q, 1)
-    prod_theta = params.alpha * params.theta
-    prod_rho = params.alpha * params.rho / 2.0
-    worst = max(prod_theta, prod_rho)
-    return {
-        "alpha_theta": prod_theta,
-        "alpha_rho_half": prod_rho,
-        "thresholds": t,
-        "passes": {name: worst < tv for name, tv in t.items()},
-    }
-
-
 def validate_params(poly, params):
     """Enforce max{alpha*theta, alpha*rho/2} < 1 + d/(4q(2q-1)) - d/4, d = 1.
 
@@ -116,16 +91,17 @@ def validate_params(poly, params):
     is sufficient for all of them. Raises ConstraintError naming the
     offending product, returns the params unchanged on success.
     """
-    info = classify_params(poly, params)
-    if not info["passes"]["strict"]:
-        t = info["thresholds"]["strict"]
-        if info["alpha_theta"] >= info["alpha_rho_half"]:
-            offender = f"alpha*theta = {info['alpha_theta']:.6g}"
+    bound = 0.75 + 1.0 / (4.0 * poly.q * (2 * poly.q - 1))
+    prod_theta = params.alpha * params.theta
+    prod_rho = params.alpha * params.rho / 2.0
+    if not max(prod_theta, prod_rho) < bound:
+        if prod_theta >= prod_rho:
+            offender = f"alpha*theta = {prod_theta:.6g}"
         else:
-            offender = f"alpha*rho/2 = {info['alpha_rho_half']:.6g}"
+            offender = f"alpha*rho/2 = {prod_rho:.6g}"
         raise ConstraintError(
             f"taming exponent constraint violated: {offender} must be "
-            f"< 1 + d/(4q(2q-1)) - d/4 = {t:.10g} (q={poly.q}, d=1)"
+            f"< 1 + d/(4q(2q-1)) - d/4 = {bound:.10g} (q={poly.q}, d=1)"
         )
     return params
 

@@ -9,6 +9,9 @@ worker count. Per-sample randomness is keyed by (master_seed, stream,
 sample_index) through the counter-based generator in the noise module;
 nothing depends on scheduling.
 
+Division of labour: the harness draws the noise, assembles its loads and
+observes what a study records; scheme.Stepper only steps on the loads.
+
 Validation contract: StudyConfig is the one place that decides whether a
 study can run. Building one rejects every config its study could not run
 to the end, so a study never fails on its config after its first step,
@@ -45,7 +48,7 @@ def _l2sq(x, l2sq):
     return l2sq
 
 
-# module-level functions, so a RecordSpec holding one (through a partial
+# module-level functions, so a Leg's record holding one (through a partial
 # of an observer below) pickles for workers
 OBSERVABLES = {
     "sin_pi4_minus_l2sq": _sin_pi4_minus_l2sq,
@@ -142,9 +145,12 @@ class StudyConfig:
             validate_params(self.drift, self.taming)
         starts = {"problem.initial": self.initial_modes}
         starts.update((f"study.initials[{i}]", m) for i, m in enumerate(self.initials or ()))
+        jmax = noise.MAX_TAPE_FLOATS      # _initial_vector holds jmax coefficients
         for where, modes in starts.items():
-            _require(modes is None or modes and all(j >= 1 and _finite(a) for j, a in modes),
-                     f"{where}.modes must be [j >= 1, finite amp] pairs, got {modes}")
+            _require(modes is None or modes and all(1 <= j <= jmax and _finite(a)
+                                                    for j, a in modes),
+                     f"{where}.modes must be [1 <= j <= {jmax}, finite amp] pairs, "
+                     f"got {modes}")
         _require(_finite(self.T) and self.T > 0,
                  f"study.T must be finite and positive, got {self.T}")
         _require(grid and all(r.m >= 0 and r.h_exp >= 1 for r in grid),
@@ -165,13 +171,19 @@ class StudyConfig:
         _require(self.observable in OBSERVABLES,
                  f"study.observable must be one of {sorted(OBSERVABLES)}")
         lo, hi = self.window or (0.0, None)
-        _require(_finite(lo) and (hi is None or _finite(hi)),
-                 f"study.window ends must be finite, got {self.window}")
+        _require(_finite(lo) and (hi is None or _finite(hi) and lo <= hi),
+                 f"study.window ends must be finite and low <= high, got {self.window}")
         _require(self.p >= 2, f"study.p must lie in [2, inf], got {self.p}")
         try:
-            noise_model_for(self)
+            model = noise_model_for(self)
         except InvalidArgumentError as e:
             raise InvalidArgumentError(f"noise.{e}") from e
+        if model is not None and model.K * BLOCK > noise.MAX_TAPE_FLOATS:
+            # one tape row of a full block alone would exceed the tape budget
+            default = "" if self.K else f" (default 2^h_exp - 1, h_exp {_finest_h_exp(self)})"
+            raise InvalidArgumentError(
+                f"noise.K must be <= MAX_TAPE_FLOATS / {BLOCK} = "
+                f"{noise.MAX_TAPE_FLOATS // BLOCK}, got {model.K}{default}")
         if kind == "smoothing":
             _require(times and _finite(*times) and times[0] > 0
                      and all(a < b for a, b in zip(times, times[1:])),
@@ -243,22 +255,22 @@ def _n_blocks(cfg):
     return (cfg.samples + BLOCK - 1) // BLOCK
 
 
-def _fill_loads(sampler, tape, loaders, check_coupling, k, out):
+def _fill_loads(sampler, tape, loadmats, check_coupling, k, out):
     """Assemble chunk k's noise loads into out, a load set.
 
     Draws the chunk into tape, coarsens it once per distinct factor, and
-    fills out[(h_exp, factor)] through loaders[(h_exp, factor)], a stepper
-    on that mesh.
+    fills out[(h_exp, factor)] with one stacked product of loadmats[h_exp],
+    the sine load matrix of that mesh, and the coarsened chunk.
     """
     sampler.fill(tape)
     coarse = {f: noise.coarsen_coeffs(tape, f)
-              for f in dict.fromkeys(f for _, f in loaders)}
+              for f in dict.fromkeys(f for _, f in out)}
     if check_coupling and k == 0:
         # re-assert the coupling invariant: children sum to parents
         for f, c in coarse.items():
             assert np.array_equal(c[0], tape[:f].sum(axis=0))
-    for key, stepper in loaders.items():
-        stepper.noise_loads(coarse[key[1]], out=out[key])
+    for (h, f), loads in out.items():
+        np.matmul(loadmats[h], coarse[f], out=loads)
 
 
 def _load_chunks(fill, sets, n_chunks):
@@ -303,7 +315,25 @@ class Leg(NamedTuple):
     res: Resolution
     stream: int                        # noise stream id of the driving tape
     starts: tuple                      # initial sine modes per start; None = zero
-    record: Optional[scheme.RecordSpec] = None
+    # (stride, observe): observe(ops, x), one row per quantity and one column
+    # per path, at the start and every stride steps; None = the final state
+    record: Optional[tuple] = None
+
+
+def _step_recorded(stepper, loads, done, record, ops, rows):
+    """Step a recorded leg through one chunk of loads, done steps into its run.
+
+    Steps in segments that end at the multiples of the stride counted over
+    the whole run, and appends observe(ops, stepper.x) after each.
+    """
+    stride, observe = record
+    lo = 0
+    for hi in range(stride - done % stride, len(loads) + 1, stride):
+        stepper.step_loads(loads[lo:hi])
+        rows.append(observe(ops, stepper.x))
+        lo = hi
+    if lo < len(loads):
+        stepper.step_loads(loads[lo:])
 
 
 def _paths_block(cfg, b, legs):
@@ -316,39 +346,45 @@ def _paths_block(cfg, b, legs):
     is ever held. A helper thread turns the next chunk into noise loads
     while the legs step the current one (_load_chunks): it draws the
     chunk, coarsens it once per distinct factor and assembles one load
-    set per distinct (mesh, factor), which every leg of that shape steps
-    on. The tape buffer and both load sets share the
-    noise.MAX_TAPE_FLOATS budget.
+    set per distinct (mesh, factor) with that mesh's sine load matrix,
+    one per mesh and block; every leg of that shape steps on the set. The
+    helper touches no stepper, and the tape buffer and both load sets
+    share the noise.MAX_TAPE_FLOATS budget.
 
     A leg's starts are the column groups of one stepper: its (n, S)
     initial state, one column per start, steps as an (n, S bs) state on
     the leg's (n, bs) loads, so S starts cost one tridiagonal solve a
-    step. A leg yields its final (n, S bs) state, or its ObservableRecord
-    when it records; start i holds columns [i bs, (i+1) bs).
+    step. A leg yields its final (n, S bs) state, or when it records its
+    observations as a (times, quantities, S bs) array; start i holds
+    columns [i bs, (i+1) bs).
     """
     model = noise_model_for(cfg)
     K = 1 if model is None else model.K
     idx = list(_block_range(cfg, b))
     bs = len(idx)
-    ops, steppers = {}, []
-    for leg in legs:
+    ops, steppers, records = {}, [], {}
+    for i, leg in enumerate(legs):
         if leg.res.h_exp not in ops:
             ops[leg.res.h_exp] = fem1d.assemble_operators(_mesh_for(cfg, leg.res))
         o = ops[leg.res.h_exp]
         x0 = np.stack([_initial_vector(cfg, o, modes) for modes in leg.starts], axis=1)
         sc = scheme.make_scheme_config(o, cfg.drift, cfg.taming,
                                        _tau_for(cfg, leg.res), x0)
-        steppers.append(scheme.Stepper(sc, K, bs, leg.record))
+        steppers.append(scheme.Stepper(sc, bs))
+        if leg.record is not None:
+            records[i] = [leg.record[1](o, steppers[i].x)]
+    loadmats = {} if model is None else {
+        h: fem1d.sine_load_matrix(o.mesh, K) for h, o in ops.items()}
     for stream in dict.fromkeys(leg.stream for leg in legs):
         m = max(leg.res.m for leg in legs if leg.stream == stream)
         # leg i steps on the load set of its (mesh, coarsening factor)
         keys = {i: (leg.res.h_exp, 2 ** (m - leg.res.m))
                 for i, leg in enumerate(legs) if leg.stream == stream}
-        loaders = {key: steppers[i] for i, key in keys.items()}
+        distinct = dict.fromkeys(keys.values())
         # a fine row of the tape buffer and of both load sets together
-        row_floats = K * bs + 2 * sum((2**h - 1) * bs / f for h, f in loaders)
-        rows = noise.chunk_rows(2**m, row_floats, max(f for _, f in loaders))
-        shapes = {(h, f): (rows // f, 2**h - 1, bs) for h, f in loaders}
+        row_floats = K * bs + 2 * sum((2**h - 1) * bs / f for h, f in distinct)
+        rows = noise.chunk_rows(2**m, row_floats, max(f for _, f in distinct))
+        shapes = {(h, f): (rows // f, 2**h - 1, bs) for h, f in distinct}
         if model is None:
             fill = None
             sets = [{key: np.broadcast_to(0.0, shape) for key, shape in shapes.items()}]
@@ -357,19 +393,20 @@ def _paths_block(cfg, b, legs):
                 model, cfg.seed, cfg.T / 2**m,
                 [noise.stream_context(stream, sidx) for sidx in idx])
             fill = functools.partial(_fill_loads, sampler, np.empty((rows, K, bs)),
-                                     loaders, b == 0)
+                                     loadmats, b == 0)
             sets = [{key: np.empty(shape) for key, shape in shapes.items()}
                     for _ in range(2)]
         chunks = _load_chunks(fill, sets, 2**m // rows)
         with contextlib.closing(chunks):
-            for loads in chunks:
+            for k, loads in enumerate(chunks):
                 for i, key in keys.items():
-                    steppers[i].step_loads(loads[key])
-    out = []
-    for leg, stepper in zip(legs, steppers):
-        state, rec = stepper.finish()
-        out.append(state.x if leg.record is None else rec)
-    return out
+                    if i in records:
+                        _step_recorded(steppers[i], loads[key], k * len(loads[key]),
+                                       legs[i].record, ops[key[0]], records[i])
+                    else:
+                        steppers[i].step_loads(loads[key])
+    return [np.array(records[i]) if i in records else stepper.finish().x
+            for i, stepper in enumerate(steppers)]
 
 
 def _run_legs(cfg, legs, per_sample):
@@ -407,9 +444,9 @@ def _recorded(cfg, leg):
     times, sel = _record_window(cfg)
 
     def per_sample(blk):
-        rec = blk[0]
-        assert np.array_equal(rec.times, times)
-        return rec.values.reshape(*rec.values.shape[:2], len(leg.starts), -1)
+        vals = blk[0]
+        assert len(vals) == len(times)
+        return vals.reshape(*vals.shape[:2], len(leg.starts), -1)
 
     return times, sel, _run_legs(cfg, [leg], per_sample)
 
@@ -682,9 +719,8 @@ def equilibration_study(cfg):
     judged on per-sample means over the final window t in [3T/4, T].
     """
     t0 = time.perf_counter()
-    spec = scheme.RecordSpec(cfg.stride, functools.partial(
-        _observe_phi, phi=OBSERVABLES[cfg.observable]))
-    times, sel, vals = _recorded(cfg, Leg(cfg.grid[0], 0, tuple(cfg.initials), spec))
+    record = (cfg.stride, functools.partial(_observe_phi, phi=OBSERVABLES[cfg.observable]))
+    times, sel, vals = _recorded(cfg, Leg(cfg.grid[0], 0, tuple(cfg.initials), record))
     vals = vals[:, 0]                          # (times, starts, samples)
     n_ic, n = vals.shape[1:]
     means, ses = (a.T for a in _mean_se(vals))
@@ -761,9 +797,9 @@ def moment_study(cfg):
     """
     t0 = time.perf_counter()
     model = noise_model_for(cfg)
-    spec = scheme.RecordSpec(cfg.stride, functools.partial(
+    record = (cfg.stride, functools.partial(
         _observe_moments, gamma=1.0 if model is None else model.gamma_report))
-    times, sel, vals = _recorded(cfg, Leg(cfg.grid[0], 0, (cfg.initial_modes,), spec))
+    times, sel, vals = _recorded(cfg, Leg(cfg.grid[0], 0, (cfg.initial_modes,), record))
     vals = vals[:, :, 0]                       # (times, MOMENTS, samples)
     n = vals.shape[-1]
     mean, se = _mean_se(vals)

@@ -8,15 +8,16 @@ so the linear part is implicit (unconditionally stable, no stepsize-ratio
 restriction) while the tamed drift is explicit. The shifted matrix is
 factorized once per run.
 
-There is one way to step: Stepper's noise_loads, step_loads and finish.
-States are (n,) or (n, B); everything broadcasts over a trailing batch
-axis, which is how the harness runs whole blocks of samples in lockstep.
+There is one way to step: a Stepper's step_loads on assembled noise
+loads, then finish. The scheme knows no noise model and records nothing:
+the harness assembles the loads and observes the live state. States are
+(n,) or (n, B); everything broadcasts over a trailing batch axis, which
+is how the harness runs whole blocks of samples in lockstep.
 """
 
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -94,37 +95,6 @@ def drift_load(config, x):
     return fem1d.quad_load(mesh, fq)
 
 
-@dataclass
-class RecordSpec:
-    """Record observe(ops, x) every stride steps, and at the initial state.
-
-    observe returns one row per quantity and one column per path of x.
-    """
-
-    stride: int
-    observe: Callable
-
-
-@dataclass
-class ObservableRecord:
-    times: np.ndarray
-    values: np.ndarray       # (times, quantities, paths); no paths axis for a 1-D state
-
-
-class _Recorder:
-    def __init__(self, ops, spec):
-        self.spec = spec
-        self.ops = ops
-        self.times, self.values = [], []
-
-    def grab(self, t, x):
-        self.times.append(t)
-        self.values.append(self.spec.observe(self.ops, x))
-
-    def finish(self):
-        return ObservableRecord(times=np.array(self.times), values=np.array(self.values))
-
-
 def _tame_quartic_root(u, c):
     """u -> (1 + c u^8)^(1/4) in place, u^8 by repeated squaring (q = 2, alpha = 1/4)."""
     u *= u
@@ -164,16 +134,14 @@ class _Work:
 class Stepper:
     """A run of the scheme over a driving path handed in consecutive chunks.
 
-    From the config's initial state, noise_loads() assembles the loads of
-    the next (steps, K[, B]) rows of the path and step_loads() steps on
-    them; the two may run apart (the block driver assembles the loads on a
-    helper thread). Stepping chunk after chunk gives bit for bit the state
-    and record of stepping once over the whole path; finish() returns
-    them. batch replicates the initial state: a 1-D state into B columns,
-    a 2-D (n, S) state of S starts into S column groups of B, start i in
+    From the config's initial state, step_loads() steps once per assembled
+    noise load it is handed. Stepping chunk after chunk gives bit for bit
+    the state of stepping once over the whole path; x is the live state
+    between calls, and finish() returns the final SchemeState. batch
+    replicates the initial state: a 1-D state into B columns, a 2-D
+    (n, S) state of S starts into S column groups of B, start i in
     columns [i B, (i+1) B). Every group steps on the same (n, B) loads, so
-    one stepper runs several starts on one driving path. Recording never
-    affects the dynamics.
+    one stepper runs several starts on one driving path.
 
     Each step_loads() allocates its work arrays once and runs every step
     in them: the tamed drift is interpolated, evaluated, tamed and
@@ -182,17 +150,16 @@ class Stepper:
     result is the one array a step allocates).
     """
 
-    def __init__(self, config, K, batch=None, record_spec=None):
+    def __init__(self, config, batch=None):
         self.config = config
         ops = config.ops
         n = ops.mesh.n_interior
         x = np.asarray(config.initial, dtype=float)
         if batch is not None:
             x = np.repeat(x.reshape(n, -1), batch, axis=1)   # start-major
-        self._loadmat = fem1d.sine_load_matrix(ops.mesh, K)
         self._shifted = shifted_operator(config)
         self._x = x.reshape(n, -1).copy()     # the state, one column per path
-        self._view = self._x[:, 0] if x.ndim == 1 else self._x   # 1-D for run, ROADMAP item 1
+        self.x = self._x[:, 0] if x.ndim == 1 else self._x    # a view, 1-D for a 1-D start
         M = ops.mass
         # M x = main x + lo (x shifted down) + hi (x shifted up), on the padded state
         self._mass = (M.main[:, None], np.r_[0.0, M.off][:, None],
@@ -216,11 +183,8 @@ class Stepper:
                 self._tame = functools.partial(
                     _tame_general, c=c, alpha=tp.alpha,
                     expo=(2.0 * config.drift.q - 2.0) / tp.alpha)
-        self._rec = _Recorder(ops, record_spec) if record_spec is not None else None
         self._m = 0
         self._warned = False
-        if self._rec is not None:
-            self._rec.grab(0.0, self._view)
 
     def _drift_from_pad(self, w):
         """tau * drift_load at the state held in w.pad, as (n, B) in w.tmp."""
@@ -272,18 +236,6 @@ class Stepper:
                 RuntimeWarning, stacklevel=3,
             )
             self._warned = True
-        if self._rec is not None and m % self._rec.spec.stride == 0:
-            self._rec.grab(m * config.tau, self._view)
-
-    def noise_loads(self, coeffs, out=None):
-        """The noise loads of (steps, K) or (steps, K, B) path rows, as (steps, n, B).
-
-        One stacked product with the sine load matrix, written into out when
-        given. It reads nothing the steps change, so another thread may
-        assemble the next chunk's loads while this stepper steps.
-        """
-        coeffs = np.reshape(coeffs, (*np.shape(coeffs)[:2], -1))
-        return np.matmul(self._loadmat, coeffs, out=out)
 
     def step_loads(self, loads):
         """Step once per assembled (n, B) load of loads, shape (steps, n, B)."""
@@ -292,19 +244,18 @@ class Stepper:
             self._step(w, load)
 
     def finish(self):
-        """The final state and the ObservableRecord (None without a record_spec)."""
-        state = SchemeState(m=self._m, x=self._view.copy(), t=self._m * self.config.tau)
-        return state, (self._rec.finish() if self._rec is not None else None)
+        """The final SchemeState."""
+        return SchemeState(m=self._m, x=self.x.copy(), t=self._m * self.config.tau)
 
 
 # unused by the package: benchmarks/tracing.py wraps it until ROADMAP item 1
-def run(config, tape_or_increments, record_spec=None, n_steps=None):
+def run(config, tape_or_increments, n_steps=None):
     """Iterate the scheme over a whole driving path with one Stepper.
 
     tape_or_increments: a (steps, K[, B]) coefficient array at step tau
     (noise.coarsen_coeffs brings a finer tape to tau), or None for a
-    zero-noise run of n_steps. Returns the final state and the
-    ObservableRecord (None if no record_spec given).
+    zero-noise run of n_steps. Returns the final state and None, the
+    (state, record) pair the benchmark's tracer unpacks.
     """
     if tape_or_increments is None:
         if n_steps is None:
@@ -314,6 +265,7 @@ def run(config, tape_or_increments, record_spec=None, n_steps=None):
     if coeffs.ndim < 2:
         raise InvalidArgumentError("coefficient array must be (steps, K[, B])")
     batch = coeffs.shape[2] if coeffs.ndim == 3 else None
-    stepper = Stepper(config, coeffs.shape[1], batch, record_spec)
-    stepper.step_loads(stepper.noise_loads(coeffs))
-    return stepper.finish()
+    loadmat = fem1d.sine_load_matrix(config.ops.mesh, coeffs.shape[1])
+    stepper = Stepper(config, batch)
+    stepper.step_loads(np.matmul(loadmat, coeffs.reshape(*coeffs.shape[:2], -1)))
+    return stepper.finish(), None

@@ -1,4 +1,5 @@
-"""Test-side probes of scheme.Stepper: one step, and the fused drift alone."""
+"""Test-side probes of scheme.Stepper: one step, a recorded run, and the
+fused drift alone."""
 
 import numpy as np
 
@@ -10,9 +11,26 @@ def one_step(config, load):
 
     load is the assembled (n,) noise load; the result is (n,).
     """
-    stepper = scheme.Stepper(config, 1)
+    stepper = scheme.Stepper(config)
     stepper.step_loads(np.reshape(load, (1, -1, 1)))
-    return stepper.finish()[0].x
+    return stepper.finish().x
+
+
+def recorded_run(config, loads, stride, observe):
+    """Step config's scheme over assembled loads, observing as the harness does.
+
+    loads is (steps, n, B); the stepper takes batch B. One load at a time,
+    observe(ops, x) of the live state is taken at the start and after
+    every stride-th step. Returns the final SchemeState and the
+    observations as a (times, quantities, paths) array.
+    """
+    stepper = scheme.Stepper(config, np.shape(loads)[2])
+    rows = [observe(config.ops, stepper.x)]
+    for m, load in enumerate(loads, start=1):
+        stepper.step_loads(load[None])
+        if m % stride == 0:
+            rows.append(observe(config.ops, stepper.x))
+    return stepper.finish(), np.array(rows)
 
 
 def drift_term(stepper, x):

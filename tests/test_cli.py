@@ -116,6 +116,15 @@ MALFORMED = [
      "study.initials[0].modes"),
     ("equilibrate", "equilibrate_ci", "problem.drift_coeffs", [0, 40, 0, -1],
      "problem.drift_coeffs"),
+    # once a MemoryError, or a run whose window no fit could meet
+    ("strong-rate", None, "window", [1.3, 0.7], "study.window"),
+    ("strong-rate", None, "problem.initial", {"modes": [[10**15, 1.0]]},
+     "problem.initial"),
+    ("equilibrate", "equilibrate_ci", "initials", [{"modes": [[10**15, 1.0]]}],
+     "study.initials[0].modes"),
+    ("strong-rate", None, "noise.K", 10**15, "noise.K"),
+    # the default K = 2^15 - 1 of the finest mesh
+    ("strong-rate", None, "reference", [8, 15], "noise.K"),
 ]
 
 

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdefem.drift import (DriftPolynomial, TamingParams, classify_params,
-                           constraint_thresholds, eval_f, eval_f_tamed,
+from spdefem.drift import (DriftPolynomial, TamingParams, eval_f, eval_f_tamed,
                            one_sided_constant, taming_factor,
                            taming_inequality_suite, validate_params)
 from spdefem.errors import ConstraintError, InvalidArgumentError
@@ -104,18 +103,25 @@ class TestTamedEvaluation:
         assert abs(big) == pytest.approx(1e6 / 0.5 ** 0.25, rel=1e-3)
 
 
+def assert_strict_bound(poly, bound):
+    """validate_params passes within 1e-12 below bound and raises within
+    1e-12 above it, on alpha*theta and on alpha*rho/2 alike."""
+    below, above = bound * (1.0 - 1e-12), bound * (1.0 + 1e-12)
+    validate_params(poly, TamingParams(1.0, below, 1.0, 1.0, 1.0))
+    validate_params(poly, TamingParams(1.0, 0.5, 2.0 * below, 1.0, 1.0))
+    with pytest.raises(ConstraintError, match="alpha\\*theta"):
+        validate_params(poly, TamingParams(1.0, above, 1.0, 1.0, 1.0))
+    with pytest.raises(ConstraintError, match="alpha\\*rho/2"):
+        validate_params(poly, TamingParams(1.0, 0.5, 2.0 * above, 1.0, 1.0))
+
+
 class TestConstraint:
     def test_thresholds_q2(self):
-        th = constraint_thresholds(2, 1)
-        assert th["strict"] == pytest.approx(19 / 24, abs=1e-12)
-        assert th["mid"] == pytest.approx(5 / 6, abs=1e-12)
-        assert th["loose"] == pytest.approx(11 / 12, abs=1e-12)
+        assert_strict_bound(CUBIC, 19 / 24)
 
     def test_thresholds_q3(self):
-        th = constraint_thresholds(3, 1)
-        assert th["strict"] == pytest.approx(0.76666666666666666, abs=1e-12)
-        assert th["mid"] == pytest.approx(0.78333333333333333, abs=1e-12)
-        assert th["loose"] == pytest.approx(0.81666666666666666, abs=1e-12)
+        quintic = DriftPolynomial(q=3, coeffs=(0.0, 1.0, 0.0, 0.0, 0.0, -1.0))
+        assert_strict_bound(quintic, 0.76666666666666666)
 
     def test_default_parameters_pass(self):
         validate_params(CUBIC, PARAMS)   # must not raise
@@ -135,14 +141,13 @@ class TestConstraint:
             validate_params(CUBIC, bad)
 
     def test_classification_bands(self):
-        assert classify_params(CUBIC, PARAMS)["passes"] == {
-            "strict": True, "mid": True, "loose": True}
-        mid = TamingParams(alpha=0.8, theta=1.0, rho=2.0, beta1=1.0, beta2=1.0)
-        assert classify_params(CUBIC, mid)["passes"] == {
-            "strict": False, "mid": True, "loose": True}
-        loose = TamingParams(alpha=0.9, theta=1.0, rho=2.0, beta1=1.0, beta2=1.0)
-        assert classify_params(CUBIC, loose)["passes"] == {
-            "strict": False, "mid": False, "loose": True}
+        # the parameter sets that once stood for the strict, mid and loose
+        # bands: only the first meets the strict bound
+        assert validate_params(CUBIC, PARAMS) is PARAMS
+        for alpha in (0.8, 0.9):
+            params = TamingParams(alpha=alpha, theta=1.0, rho=2.0, beta1=1.0, beta2=1.0)
+            with pytest.raises(ConstraintError):
+                validate_params(CUBIC, params)
 
     def test_parameter_ranges(self):
         with pytest.raises(InvalidArgumentError):

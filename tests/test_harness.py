@@ -15,6 +15,8 @@ from spdefem.drift import DriftPolynomial, TamingParams
 from spdefem.errors import CapacityError, InvalidArgumentError, NumericalBlowupError
 from spdefem.harness import Resolution, StudyConfig
 
+from stepping import recorded_run
+
 CUBIC = DriftPolynomial(q=2, coeffs=(0.0, 1.0, 0.0, -1.0))
 TAMING = TamingParams(alpha=0.25, theta=1.0, rho=2.0, beta1=1.0, beta2=1.0)
 
@@ -238,6 +240,12 @@ def strong_legs(cfg):
     return [harness.Leg(r, 0, (None,)) for r in (*cfg.grid, cfg.reference)]
 
 
+def equilibrate_record(stride):
+    """The equilibration's record, phi(x, |x|_M^2) every stride steps."""
+    return (stride, functools.partial(harness._observe_phi,
+                                      phi=harness.OBSERVABLES["sin_pi4_minus_l2sq"]))
+
+
 def fill_hook(monkeypatch, on_call):
     """Wrap BlockSampler.fill so that on_call(count, out) sees every filled chunk."""
     calls = []
@@ -252,30 +260,38 @@ def fill_hook(monkeypatch, on_call):
 
 
 def loads_hook(monkeypatch, on_call):
-    """Wrap Stepper.noise_loads so that on_call(count) runs before every call.
+    """Wrap harness._fill_loads so that on_call(count, out) runs after every
+    call, on the load set it assembled.
 
     Returns the list of the calling threads.
     """
     calls = []
-    noise_loads = scheme.Stepper.noise_loads
+    fill_loads = harness._fill_loads
 
-    def hooked(stepper, coeffs, out=None):
+    def hooked(*args):
+        fill_loads(*args)
         calls.append(threading.current_thread())
-        on_call(len(calls))
-        return noise_loads(stepper, coeffs, out)
+        on_call(len(calls), args[-1])
 
-    monkeypatch.setattr(scheme.Stepper, "noise_loads", hooked)
+    monkeypatch.setattr(harness, "_fill_loads", hooked)
     return calls
 
 
-def assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads):
+def assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, budget=2**13):
     """_paths_block on stream 0 against each leg run whole on its coarsening
     of stacked whole tapes: an independent oracle for the load set order.
+    A recorded leg's oracle is tests/stepping.py's recorded_run, one step
+    at a time.
 
     Chunking happens only in _paths_block, at a budget of 4 or more chunks.
     Returns the rows of every chunk filled.
     """
-    monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**13)
+    model = harness.noise_model_for(cfg)
+    m = max(leg.res.m for leg in legs)
+    tapes = np.stack([noise.sample_tape_coeffs(model, cfg.seed, cfg.T, 2**m,
+                                               noise.stream_context(0, i))
+                      for i in harness._block_range(cfg, 0)], axis=2)
+    monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", budget)
     fills = fill_hook(monkeypatch, lambda count, out: out)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)     # hand the GIL over as often as it can go
@@ -287,27 +303,24 @@ def assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads):
     assert len(threads.started) == 1       # one helper for the one stream
     assert threads.all_ended()
     fills = list(fills)
-    model = harness.noise_model_for(cfg)
-    m = max(leg.res.m for leg in legs)
-    tapes = np.stack([noise.sample_tape_coeffs(model, cfg.seed, cfg.T, 2**m,
-                                               noise.stream_context(0, i))
-                      for i in harness._block_range(cfg, 0)], axis=2)
     bs = tapes.shape[2]
     for leg, result in zip(legs, got):
         ops = fem1d.assemble_operators(harness._mesh_for(cfg, leg.res))
         tape = noise.coarsen_coeffs(tapes, 2**(m - leg.res.m))
+        loads = np.matmul(fem1d.sine_load_matrix(ops.mesh, model.K), tape)
         # start i of the leg is its column group i, run here on its own
         for i, modes in enumerate(leg.starts):
             cols = slice(i * bs, (i + 1) * bs)
             sc = scheme.make_scheme_config(ops, cfg.drift, cfg.taming,
                                            cfg.T / 2**leg.res.m,
                                            harness._initial_vector(cfg, ops, modes))
-            want, rec = scheme.run(sc, tape, leg.record)
             if leg.record is None:
+                want, _ = scheme.run(sc, tape)
                 assert np.array_equal(result[:, cols], want.x)
             else:
-                assert np.array_equal(result.times, rec.times)
-                assert np.array_equal(result.values[:, :, cols], rec.values)
+                _, rec = recorded_run(sc, loads, *leg.record)
+                assert result.shape[0] == 2**leg.res.m // leg.record[0] + 1
+                assert np.array_equal(result[:, :, cols], rec)
     return fills
 
 
@@ -327,32 +340,63 @@ class TestPrefetchedChunks:
 
     def test_shared_load_set_matches_whole_tape_runs(self, monkeypatch, threads):
         # the equilibration: three starts are the column groups of one leg, so
-        # the helper assembles their load set with one noise_loads call per
-        # chunk, and one step_loads call per chunk steps all three
+        # the helper assembles one load set a chunk, and one stepper of
+        # 3 bs columns steps all three through every row of the path
         cfg = dataclasses.replace(equilibrate_cfg(), samples=8)
-        spec = scheme.RecordSpec(cfg.stride, functools.partial(
-            harness._observe_phi, phi=harness.OBSERVABLES[cfg.observable]))
-        legs = [harness.Leg(cfg.grid[0], 0, cfg.initials, spec)]
-        calls = loads_hook(monkeypatch, lambda count: None)
+        legs = [harness.Leg(cfg.grid[0], 0, cfg.initials, equilibrate_record(cfg.stride))]
+        sets = []
+        calls = loads_hook(monkeypatch, lambda count, out: sets.append(list(out)))
         stepped = []
         step_loads = scheme.Stepper.step_loads
 
         def counted(stepper, loads):
-            stepped.append(len(loads))
+            stepped.append((stepper.x.shape[1], len(loads)))
             return step_loads(stepper, loads)
 
         monkeypatch.setattr(scheme.Stepper, "step_loads", counted)
         fills = assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads)
-        on_helper = [t for t in calls if t is not threading.main_thread()]
-        # the oracle runs each start whole: one assembly and one step_loads
-        # call per start, on the main thread
-        n_starts = len(cfg.initials)
-        assert len(on_helper) == len(fills) == len(calls) - n_starts
-        assert len(stepped) == len(fills) + n_starts
+        assert all(t is not threading.main_thread() for t in calls)
+        assert len(calls) == len(fills)
+        assert sets == [[(cfg.grid[0].h_exp, 1)]] * len(fills)
+        # the oracle steps each start on its own, bs columns wide
+        assert sum(rows for width, rows in stepped if width == 3 * 8) == 2**cfg.grid[0].m
+
+    @pytest.mark.parametrize("budget,coarse_rows", [(2**11, 4), (2**10, 2)])
+    def test_stride_across_chunks_matches_one_step_runs(self, monkeypatch, threads,
+                                                         budget, coarse_rows):
+        # a recorded leg whose stride, 3, divides no chunk of 4 rows, and
+        # exceeds chunks of 2: its segments cross chunk ends
+        cfg = dataclasses.replace(equilibrate_cfg(), samples=8)
+        legs = [harness.Leg(cfg.grid[0], 0, cfg.initials, equilibrate_record(3))]
+        fills = assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, budget)
+        assert set(fills) == {coarse_rows}
+
+    def test_helper_touches_no_stepper(self, monkeypatch, threads):
+        # every Stepper method runs on the main thread; the helper only draws,
+        # coarsens and assembles
+        seen = []
+        for name in ("__init__", "step_loads", "finish"):
+            method = getattr(scheme.Stepper, name)
+
+            def watched(*args, _method=method, **kwargs):
+                seen.append(threading.current_thread())
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(scheme.Stepper, name, watched)
+        helper = loads_hook(monkeypatch, lambda count, out: None)
+        cfg = strong_cfg(samples=8)
+        legs = strong_legs(cfg) + [harness.Leg(Resolution(6, 3), 0, (None,),
+                                               equilibrate_record(3))]
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**13)
+        harness._paths_block(cfg, 0, legs)
+        assert threads.all_ended() and len(threads.started) == 1
+        assert len(helper) >= 4 and threading.main_thread() not in helper
+        assert seen and all(t is threading.main_thread() for t in seen)
 
     def test_draw_failure_propagates(self, monkeypatch, threads):
         # the third fill is the third chunk, drawn on the helper while the
         # legs step the second
+        cfg, legs = strong_cfg(samples=1), strong_legs(strong_cfg())
         monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**8)
 
         def fail_third(count, out):
@@ -364,33 +408,36 @@ class TestPrefetchedChunks:
         # excinfo holds the traceback, so _paths_block's frame stays alive: a
         # helper joined only when it is collected would still run here
         with pytest.raises(_Boom) as excinfo:
-            harness._paths_block(strong_cfg(samples=1), 0, strong_legs(strong_cfg()))
+            harness._paths_block(cfg, 0, legs)
         assert threads.all_ended()
         assert str(excinfo.value) == "third draw"
         assert len(calls) == 3
         assert len(threads.started) == 1
 
     def test_load_failure_propagates(self, monkeypatch, threads):
-        # four load sets per chunk (factors 32, 16, 8 and 1): the sixth
-        # product belongs to the second chunk, assembled while the legs
-        # step the first
+        # four load sets per chunk (factors 32, 16, 8 and 1): the second
+        # chunk's loads, assembled while the legs step the first, fail once
+        # all four products are made
+        cfg, legs = strong_cfg(samples=1), strong_legs(strong_cfg())
         monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**8)
 
-        def fail_sixth(count):
-            if count == 6:
-                raise _Boom("sixth load")
+        def fail_second(count, out):
+            assert len(out) == 4
+            if count == 2:
+                raise _Boom("second load set")
 
-        calls = loads_hook(monkeypatch, fail_sixth)
+        calls = loads_hook(monkeypatch, fail_second)
         fills = fill_hook(monkeypatch, lambda count, out: out)
         with pytest.raises(_Boom) as excinfo:
-            harness._paths_block(strong_cfg(samples=1), 0, strong_legs(strong_cfg()))
+            harness._paths_block(cfg, 0, legs)
         assert threads.all_ended()
-        assert str(excinfo.value) == "sixth load"
-        assert len(calls) == 6 and len(fills) == 2
+        assert str(excinfo.value) == "second load set"
+        assert len(calls) == 2 and len(fills) == 2
         assert all(t is not threading.main_thread() for t in calls)
         assert len(threads.started) == 1
 
     def test_blowup_in_middle_chunk_propagates(self, monkeypatch, threads):
+        cfg, legs = strong_cfg(samples=1), strong_legs(strong_cfg())
         monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**8)
 
         def nan_third(count, out):
@@ -400,7 +447,7 @@ class TestPrefetchedChunks:
 
         calls = fill_hook(monkeypatch, nan_third)
         with pytest.raises(NumericalBlowupError) as excinfo:
-            harness._paths_block(strong_cfg(samples=1), 0, strong_legs(strong_cfg()))
+            harness._paths_block(cfg, 0, legs)
         assert threads.all_ended()
         # the first leg (32 fine rows a step) blew up on the first step of
         # chunk 3, while chunk 4 was being filled

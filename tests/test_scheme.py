@@ -11,7 +11,7 @@ from spdefem import drift, fem1d, harness, noise, scheme
 from spdefem.errors import InvalidArgumentError, NumericalBlowupError
 
 from dense_reference import dense_eigenpairs, dense_mass_stiffness, dense_one_step
-from stepping import drift_term, one_step
+from stepping import drift_term, one_step, recorded_run
 
 CUBIC = drift.DriftPolynomial(q=2, coeffs=(0.0, 1.0, 0.0, -1.0))
 TAMING = drift.TamingParams(alpha=0.25, theta=1.0, rho=2.0, beta1=1.0, beta2=1.0)
@@ -26,6 +26,12 @@ def observe_all(ops, x):
     return [*harness._observe_moments(ops, x, 0.75),
             *harness._observe_phi(ops, x, harness.OBSERVABLES["sin_pi4_minus_l2sq"]),
             fem1d.lp_norm(ops.mesh, x, 12)]
+
+
+def loads_of(config, coeffs):
+    """The assembled (steps, n, B) noise loads of (steps, K[, B]) path rows."""
+    coeffs = np.reshape(coeffs, (*np.shape(coeffs)[:2], -1))
+    return np.matmul(fem1d.sine_load_matrix(config.ops.mesh, coeffs.shape[1]), coeffs)
 
 
 def config_for(h_exp, tau, with_drift=True, initial=None, L=1.0):
@@ -135,7 +141,7 @@ class TestFusedDriftKernel:
         # magnitudes from 1e-3 to 1e3, so the taming factor ranges from ~1 to huge
         x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3, 3, shape)
         cfg = scheme.make_scheme_config(ops, poly, taming, 0.01, np.zeros(n))
-        stepper = scheme.Stepper(cfg, 1, batch)
+        stepper = scheme.Stepper(cfg, batch)
         assert stepper._tame.func.__name__ == path
         expect = cfg.tau * scheme.drift_load(cfg, x)
         got = drift_term(stepper, x)
@@ -151,13 +157,13 @@ class TestFusedDriftKernel:
         tape = np.stack([noise.sample_tape_coeffs(m, 3, 1.0, 8,
                                                   noise.stream_context(0, i))
                          for i in range(3)], axis=2)
-        whole = scheme.Stepper(cfg, 4, 3)
-        whole.step_loads(whole.noise_loads(tape))
-        single = scheme.Stepper(cfg, 4, 3)
+        whole = scheme.Stepper(cfg, 3)
+        whole.step_loads(loads_of(cfg, tape))
+        single = scheme.Stepper(cfg, 3)
         loadmat = fem1d.sine_load_matrix(cfg.ops.mesh, 4)
         for row in tape:
             single.step_loads([loadmat @ row])
-        assert np.array_equal(whole.finish()[0].x, single.finish()[0].x)
+        assert np.array_equal(whole.finish().x, single.finish().x)
 
 
 class TestColumnGroups:
@@ -174,22 +180,19 @@ class TestColumnGroups:
         rng = np.random.default_rng([n, batch])
         starts = rng.standard_normal((n, 3))
         loads = 0.1 * rng.standard_normal((9, n, batch))
-        spec = scheme.RecordSpec(stride=2, observe=observe_all)
 
         def stepped(initial):
             cfg = scheme.make_scheme_config(ops, CUBIC, TAMING, 1.0 / 64, initial)
-            stepper = scheme.Stepper(cfg, 1, batch, spec)
-            stepper.step_loads(loads)
-            return stepper.finish()
+            return recorded_run(cfg, loads, 2, observe_all)
 
         wide, wrec = stepped(starts)
         assert wide.x.shape == (n, 3 * batch)
+        assert wrec.shape == (5, 5, 3 * batch)
         for i in range(3):
             cols = slice(i * batch, (i + 1) * batch)
             state, rec = stepped(starts[:, i])
             assert np.array_equal(wide.x[:, cols], state.x)
-            assert np.array_equal(wrec.times, rec.times)
-            got, want = wrec.values[:, :, cols], rec.values
+            got, want = wrec[:, :, cols], rec
             if batch > 1:
                 assert np.array_equal(got, want)
             else:
@@ -201,10 +204,10 @@ class TestRunBehaviour:
         ops = ops_for(5)
         v = fem1d.project_sine_coeffs(ops, np.array([1.0]))
         cfg = scheme.make_scheme_config(ops, None, None, 0.01, v)
-        spec = scheme.RecordSpec(
-            stride=1, observe=lambda ops, x: [fem1d.l2_norm_sq_mass(ops, x)])
-        _, rec = scheme.run(cfg, None, spec, n_steps=50)
-        assert np.all(np.diff(rec.values[:, 0]) < 0)
+        _, rec = recorded_run(cfg, np.zeros((50, ops.mesh.n_interior, 1)), 1,
+                              lambda ops, x: [fem1d.l2_norm_sq_mass(ops, x)])
+        assert rec.shape == (51, 1, 1)
+        assert np.all(np.diff(rec[:, 0, 0]) < 0)
 
     def test_zero_noise_needs_step_count(self):
         cfg = config_for(3, 0.1, with_drift=False)
@@ -246,12 +249,12 @@ class TestRunBehaviour:
 
     def test_finished_stepper_freed_without_collector(self):
         # a block builds one stepper per leg; a reference cycle would keep
-        # each one (and its load matrix) alive until the collector runs
+        # each one (and its factorization) alive until the collector runs
         cfg = config_for(4, 0.01)
         gc.disable()
         try:
-            stepper = scheme.Stepper(cfg, 4, 3)
-            stepper.step_loads(stepper.noise_loads(np.zeros((2, 4, 3))))
+            stepper = scheme.Stepper(cfg, 3)
+            stepper.step_loads(np.zeros((2, 15, 3)))
             ref = weakref.ref(stepper)
             del stepper
             assert ref() is None
@@ -270,11 +273,11 @@ class TestDrivingPathForms:
         cfg = config_for(3, 1.0 / 8)
         fine = noise.sample_tape_coeffs(m, 5, 1.0, 64)     # 8x finer than tau
         whole, _ = scheme.run(cfg, noise.coarsen_coeffs(fine, 8))
-        stepper = scheme.Stepper(cfg, 4)
+        stepper = scheme.Stepper(cfg)
         for lo in range(0, 64, 16):
             chunk = noise.coarsen_coeffs(fine[lo:lo + 16], 8)
-            stepper.step_loads(stepper.noise_loads(chunk))
-        chunked, _ = stepper.finish()
+            stepper.step_loads(loads_of(cfg, chunk))
+        chunked = stepper.finish()
         assert chunked.m == 8
         assert np.array_equal(chunked.x, whole.x)
 
@@ -291,10 +294,9 @@ class TestDrivingPathForms:
             assert np.allclose(batched.x[:, i], single.x, rtol=1e-12, atol=1e-15)
 
 
-def moment_spec(gamma):
-    """Record the moment study's quantities (the seminorm last) every step."""
-    return scheme.RecordSpec(stride=1, observe=functools.partial(
-        harness._observe_moments, gamma=gamma))
+def observe_moments(gamma):
+    """The moment study's observer, the seminorm last."""
+    return functools.partial(harness._observe_moments, gamma=gamma)
 
 
 class TestRecording:
@@ -302,30 +304,35 @@ class TestRecording:
         m = noise.make_noise_model(0.5005, 4, 1.0)
         cfg = config_for(3, 1.0 / 16)
         tape = noise.sample_tape_coeffs(m, 5, 1.0, 16)
-        s1, r1 = scheme.run(cfg, tape, scheme.RecordSpec(stride=1, observe=observe_all))
-        s4, r4 = scheme.run(cfg, tape, scheme.RecordSpec(stride=4, observe=observe_all))
+        loads = loads_of(cfg, tape)
+        s1, r1 = recorded_run(cfg, loads, 1, observe_all)
+        s4, r4 = recorded_run(cfg, loads, 4, observe_all)
+        plain, _ = scheme.run(cfg, tape)
         assert np.array_equal(s1.x, s4.x)
-        assert np.array_equal(r4.times, r1.times[::4])
-        assert np.array_equal(r4.values, r1.values[::4])
+        assert np.array_equal(s1.x[:, 0], plain.x)
+        assert r1.shape == (17, 5, 1)
+        assert np.array_equal(r4, r1[::4])
 
     def test_chunked_stepper_matches_one_run(self):
-        # chunks of 5, 3 and 8 rows cut across the recording stride of 4
+        # the harness's recorded leg, in chunks of 5, 3 and 8 rows that cut
+        # across the recording stride of 4
         m = noise.make_noise_model(0.5005, 4, 1.0)
         cfg = config_for(3, 1.0 / 16)
         tape = np.stack([noise.sample_tape_coeffs(m, 8, 1.0, 16,
                                                   noise.stream_context(0, i))
                          for i in range(3)], axis=2)
-        spec = scheme.RecordSpec(stride=4, observe=observe_all)
-        whole, rec = scheme.run(cfg, tape, spec)
-        stepper = scheme.Stepper(cfg, 4, 3, spec)
+        loads = loads_of(cfg, tape)
+        whole, rec = recorded_run(cfg, loads, 4, observe_all)
+        stepper = scheme.Stepper(cfg, 3)
+        rows = [observe_all(cfg.ops, stepper.x)]
         for lo, hi in ((0, 5), (5, 8), (8, 16)):
-            stepper.step_loads(stepper.noise_loads(tape[lo:hi]))
-        chunked, crec = stepper.finish()
+            harness._step_recorded(stepper, loads[lo:hi], lo, (4, observe_all),
+                                   cfg.ops, rows)
+        chunked = stepper.finish()
         assert (chunked.m, chunked.t) == (whole.m, whole.t)
         assert np.array_equal(chunked.x, whole.x)
-        assert crec.values.shape == (5, 5, 3)
-        assert np.array_equal(crec.times, rec.times)
-        assert np.array_equal(crec.values, rec.values)
+        assert rec.shape == (5, 5, 3)
+        assert np.array_equal(np.array(rows), rec)
 
     def test_recorded_quantities_match_manual(self):
         m = noise.make_noise_model(0.5005, 4, 1.0)
@@ -333,12 +340,11 @@ class TestRecording:
         tape = noise.sample_tape_coeffs(m, 6, 1.0, 8)
         # the moment study's quantities, then the equilibration's
         phi = harness.OBSERVABLES["sin_pi4_minus_l2sq"]
-        spec = scheme.RecordSpec(stride=1, observe=lambda ops, x: [
+        state, rec = recorded_run(cfg, loads_of(cfg, tape), 1, lambda ops, x: [
             *harness._observe_moments(ops, x, 1.0), *harness._observe_phi(ops, x, phi)])
-        state, rec = scheme.run(cfg, tape, spec)
-        x = state.x
+        x = state.x[:, 0]
         l2sq = fem1d.l2_norm_sq_mass(cfg.ops, x)
-        got_l2sq, l4_4, hgamma_sq, got_phi = rec.values[-1]
+        got_l2sq, l4_4, hgamma_sq, got_phi = rec[-1, :, 0]
         assert got_l2sq == pytest.approx(l2sq, rel=1e-14)
         assert l4_4 == pytest.approx(fem1d.lp_norm(cfg.ops.mesh, x, 4) ** 4, rel=1e-14)
         # gamma = 1 seminorm is the stiffness quadratic form
@@ -354,10 +360,9 @@ class TestRecording:
         lam, vec = dense_eigenpairs(1.0, n)
         Md, _ = dense_mass_stiffness(1.0, n)
         frac = np.sum(lam**0.75 * (vec.T @ Md @ v) ** 2)
-        _, rec = scheme.run(
-            scheme.make_scheme_config(cfg.ops, None, None, 1.0 / 8, v),
-            None, moment_spec(0.75), n_steps=1)
-        assert rec.values[0, 2] == pytest.approx(frac, rel=1e-12)
+        _, rec = recorded_run(scheme.make_scheme_config(cfg.ops, None, None, 1.0 / 8, v),
+                              np.zeros((1, n, 1)), 1, observe_moments(0.75))
+        assert rec[0, 2, 0] == pytest.approx(frac, rel=1e-12)
 
     def test_gamma_seminorm_beyond_spectrum_cap(self):
         # a discrete eigenvector at n = 2047: |v|_{H^gamma}^2 = lambda^gamma |v|_M^2,
@@ -368,8 +373,9 @@ class TestRecording:
         v = np.sin(3.0 * np.pi * ops.mesh.nodes)
         lam = fem1d.uniform_mesh_eigenvalue(ops.mesh, 3)
         want = lam**0.75 * fem1d.l2_norm_sq_mass(ops, v)
-        _, rec = scheme.run(scheme.make_scheme_config(ops, None, None, tau, v), None,
-                            moment_spec(0.75), n_steps=1)
-        assert rec.values[0, 2] == pytest.approx(want, rel=1e-12)
+        _, rec = recorded_run(scheme.make_scheme_config(ops, None, None, tau, v),
+                              np.zeros((1, ops.mesh.n_interior, 1)), 1,
+                              observe_moments(0.75))
+        assert rec[0, 2, 0] == pytest.approx(want, rel=1e-12)
         # M + tau S has condition ~ 1e6 here, so the solve keeps about ten digits
-        assert rec.values[1, 2] == pytest.approx(want / (1.0 + tau * lam) ** 2, rel=1e-9)
+        assert rec[1, 2, 0] == pytest.approx(want / (1.0 + tau * lam) ** 2, rel=1e-9)
