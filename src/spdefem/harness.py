@@ -38,6 +38,10 @@ from .smoothing_lab import rate_fit, rough_initial, smoothing_error
 
 BLOCK = 64
 ROUGH_MODES = 256      # sine modes of the smoothing study's rough data
+# steps of one sample's path at its finest tau = T / 2^m, so m <= 20; the
+# shipped presets step at most 2^14 (the smoothing study's exponent; 2^12
+# for the Monte Carlo studies)
+MAX_STEPS = 2**20
 
 
 def _sin_pi4_minus_l2sq(x, l2sq):
@@ -157,6 +161,14 @@ class StudyConfig:
                  f"study.grid must be a non-empty list of [m >= 0, h_exp >= 1], got {grid}")
         _require(ref is not None or kind not in ("strong_rate", "weak_rate"),
                  f"study.reference is required for {kind}")
+        # an (n, BLOCK) state of a block within the tape budget: h_exp <= 14
+        top_m, top_h = math.log2(MAX_STEPS), math.log2(noise.MAX_TAPE_FLOATS // BLOCK + 1)
+        for where, entries in (("study.grid", grid), ("study.reference", (ref,) if ref else ())):
+            _require(all(r.m <= top_m and r.h_exp <= top_h for r in entries),
+                     f"{where} needs m <= {top_m:g} (MAX_STEPS = {MAX_STEPS} steps a "
+                     f"sample) and h_exp <= {int(top_h)} (an (n, {BLOCK}) block state "
+                     "within noise.MAX_TAPE_FLOATS), got "
+                     f"{[[r.m, r.h_exp] for r in entries]}")
         _require(ref is None or all(ref != r and ref.m >= r.m and ref.h_exp >= r.h_exp
                                     for r in grid),
                  "study.reference must be strictly finer than every study.grid entry")
@@ -178,12 +190,12 @@ class StudyConfig:
             model = noise_model_for(self)
         except InvalidArgumentError as e:
             raise InvalidArgumentError(f"noise.{e}") from e
-        if model is not None and model.K * BLOCK > noise.MAX_TAPE_FLOATS:
+        if model is not None:
             # one tape row of a full block alone would exceed the tape budget
-            default = "" if self.K else f" (default 2^h_exp - 1, h_exp {_finest_h_exp(self)})"
-            raise InvalidArgumentError(
-                f"noise.K must be <= MAX_TAPE_FLOATS / {BLOCK} = "
-                f"{noise.MAX_TAPE_FLOATS // BLOCK}, got {model.K}{default}")
+            # (the default K, the finest mesh's n, never does: h_exp is capped)
+            _require(model.K * BLOCK <= noise.MAX_TAPE_FLOATS,
+                     f"noise.K must be <= MAX_TAPE_FLOATS / {BLOCK} = "
+                     f"{noise.MAX_TAPE_FLOATS // BLOCK}, got {model.K}")
         if kind == "smoothing":
             _require(times and _finite(*times) and times[0] > 0
                      and all(a < b for a, b in zip(times, times[1:])),
@@ -255,48 +267,89 @@ def _n_blocks(cfg):
     return (cfg.samples + BLOCK - 1) // BLOCK
 
 
-def _fill_loads(sampler, tape, loadmats, check_coupling, k, out):
-    """Assemble chunk k's noise loads into out, a load set.
+def _chunk_loads(rows, f, k):
+    """Loads of coarsening factor f in chunk k of rows fine rows: the coarse
+    groups that end in it, rows // f, or 0 or 1 for a factor above rows
+    (both powers of two, so such a group ends only at a chunk end)."""
+    return (k + 1) * rows // f - k * rows // f
 
-    Draws the chunk into tape, coarsens it once per distinct factor, and
-    fills out[(h_exp, factor)] with one stacked product of loadmats[h_exp],
-    the sine load matrix of that mesh, and the coarsened chunk.
+
+def _coarsen_chunk(tape, f, k, acc):
+    """Chunk k's coarse rows of factor f, bit for bit those of
+    noise.coarsen_coeffs on the whole tape.
+
+    A factor up to the chunk's rows sums the chunk's groups at once. A
+    larger one adds the chunk's rows, one at a time and in row order, to
+    acc, its running (K, B) sum across chunks, copying a group's first row
+    as the reshape-sum does, so the sum is the same; at the group's end it
+    is the chunk's one coarse row.
+    """
+    rows = len(tape)
+    if f <= rows:
+        return noise.coarsen_coeffs(tape, f)
+    start = 0
+    if k * rows % f == 0:           # chunk k opens a group
+        acc[...] = tape[0]
+        start = 1
+    for row in tape[start:]:
+        acc += row
+    return acc[None][:_chunk_loads(rows, f, k)]
+
+
+def _fill_loads(sampler, tape, sums, loadmats, check_coupling, k, out):
+    """Assemble chunk k's noise loads into out, a load set, and return its
+    loads of this chunk, out[(h_exp, f)][:_chunk_loads(rows, f, k)].
+
+    Draws the chunk into tape and coarsens it once per distinct factor f
+    (_coarsen_chunk, with sums[f] the running sum of a factor above the
+    chunk's rows; only this thread touches it, as the legs step on the
+    load sets). out[(h_exp, f)] gets one stacked product of
+    loadmats[h_exp], the sine load matrix of that mesh, and the chunk's
+    coarse rows.
     """
     sampler.fill(tape)
-    coarse = {f: noise.coarsen_coeffs(tape, f)
+    coarse = {f: _coarsen_chunk(tape, f, k, sums.get(f))
               for f in dict.fromkeys(f for _, f in out)}
     if check_coupling and k == 0:
-        # re-assert the coupling invariant: children sum to parents
+        # re-assert the coupling invariant where a first group fits in the
+        # chunk: children sum to parents
         for f, c in coarse.items():
-            assert np.array_equal(c[0], tape[:f].sum(axis=0))
-    for (h, f), loads in out.items():
-        np.matmul(loadmats[h], coarse[f], out=loads)
+            if f <= len(tape):
+                assert np.array_equal(c[0], tape[:f].sum(axis=0))
+    return {(h, f): np.matmul(loadmats[h], coarse[f], out=loads[:len(coarse[f])])
+            for (h, f), loads in out.items()}
 
 
 def _load_chunks(fill, sets, n_chunks):
-    """Yield a stream's n_chunks consecutive load sets.
+    """Yield a stream's n_chunks consecutive load sets, fill(k, set) of each.
 
-    With fill, the two load sets in sets take turns: while the caller
-    steps on one, one helper thread runs fill(k + 1, other) to draw,
-    coarsen and assemble the next chunk. The Philox draw, the inverse
-    CDF, the sums and the products release the GIL, so the two overlap;
-    the helper draws every stream in order, so each number is the one a
-    serial run gives. A yielded set stays valid until the next one is
-    requested. Without fill (no noise) sets holds one set of zeros,
-    yielded every time, and no thread starts. Close the generator
-    (contextlib.closing) to join the helper when the caller stops early.
+    fill(k, set) assembles chunk k into set and returns its loads of that
+    chunk. With two sets they take turns: while the caller steps on one,
+    one helper thread runs fill(k + 1, other) to draw, coarsen and
+    assemble the next chunk. The Philox draw, the inverse CDF, the sums
+    and the products release the GIL, so the two overlap; the helper
+    draws every stream in order, so each number is the one a serial run
+    gives. A yielded set stays valid until the next one is requested.
+    With one set (no noise: read-only zeros) fill runs inline and no
+    thread starts. Close the generator (contextlib.closing) to join the
+    helper when the caller stops early.
     """
-    if fill is None:
-        for _ in range(n_chunks):
-            yield sets[0]
+    if len(sets) == 1:
+        for k in range(n_chunks):
+            yield fill(k, sets[0])
         return
     with ThreadPoolExecutor(max_workers=1) as helper:
         pending = helper.submit(fill, 0, sets[0])
         for k in range(n_chunks):
-            pending.result()
+            loads = pending.result()
             if k + 1 < n_chunks:
                 pending = helper.submit(fill, k + 1, sets[(k + 1) % 2])
-            yield sets[k % 2]
+            yield loads
+
+
+def _zero_loads(rows, k, out):
+    """Chunk k's loads of out, a read-only zero load set, as _fill_loads counts them."""
+    return {key: z[:_chunk_loads(rows, key[1], k)] for key, z in out.items()}
 
 
 def _map_blocks(cfg, fn, n_blocks):
@@ -320,8 +373,9 @@ class Leg(NamedTuple):
     record: Optional[tuple] = None
 
 
-def _step_recorded(stepper, loads, done, record, ops, rows):
-    """Step a recorded leg through one chunk of loads, done steps into its run.
+def _step_recorded(stepper, loads, work, done, record, ops, rows):
+    """Step a recorded leg through one chunk of loads in the work buffer
+    work, done steps into its run.
 
     Steps in segments that end at the multiples of the stride counted over
     the whole run, and appends observe(ops, stepper.x) after each.
@@ -329,11 +383,11 @@ def _step_recorded(stepper, loads, done, record, ops, rows):
     stride, observe = record
     lo = 0
     for hi in range(stride - done % stride, len(loads) + 1, stride):
-        stepper.step_loads(loads[lo:hi])
+        stepper.step_loads(loads[lo:hi], work)
         rows.append(observe(ops, stepper.x))
         lo = hi
     if lo < len(loads):
-        stepper.step_loads(loads[lo:])
+        stepper.step_loads(loads[lo:], work)
 
 
 def _paths_block(cfg, b, legs):
@@ -347,9 +401,17 @@ def _paths_block(cfg, b, legs):
     while the legs step the current one (_load_chunks): it draws the
     chunk, coarsens it once per distinct factor and assembles one load
     set per distinct (mesh, factor) with that mesh's sine load matrix,
-    one per mesh and block; every leg of that shape steps on the set. The
-    helper touches no stepper, and the tape buffer and both load sets
-    share the noise.MAX_TAPE_FLOATS budget.
+    one per mesh and block; every leg of that shape steps on the set. A
+    factor larger than the chunk keeps a running (K, bs) coarse sum
+    across chunks (_fill_loads), so its leg steps once at the end of each
+    of its groups and on nothing in the chunks between. The helper
+    touches no stepper.
+
+    The stream's memory is decided before its first step: the tape
+    buffer, both load sets and the running sums hold exactly
+    noise.stream_floats, within noise.MAX_TAPE_FLOATS unless a single
+    fine row alone exceeds it. The legs step in one 64-byte-aligned work
+    buffer (scheme.work_buffer), sized for the block's largest leg.
 
     A leg's starts are the column groups of one stepper: its (n, S)
     initial state, one column per start, steps as an (n, S bs) state on
@@ -375,36 +437,38 @@ def _paths_block(cfg, b, legs):
             records[i] = [leg.record[1](o, steppers[i].x)]
     loadmats = {} if model is None else {
         h: fem1d.sine_load_matrix(o.mesh, K) for h, o in ops.items()}
+    work = scheme.work_buffer(steppers)
     for stream in dict.fromkeys(leg.stream for leg in legs):
         m = max(leg.res.m for leg in legs if leg.stream == stream)
         # leg i steps on the load set of its (mesh, coarsening factor)
         keys = {i: (leg.res.h_exp, 2 ** (m - leg.res.m))
                 for i, leg in enumerate(legs) if leg.stream == stream}
         distinct = dict.fromkeys(keys.values())
-        # a fine row of the tape buffer and of both load sets together
-        row_floats = K * bs + 2 * sum((2**h - 1) * bs / f for h, f in distinct)
-        rows = noise.chunk_rows(2**m, row_floats, max(f for _, f in distinct))
-        shapes = {(h, f): (rows // f, 2**h - 1, bs) for h, f in distinct}
+        rows = noise.chunk_rows(2**m, K * bs, [((2**h - 1) * bs, f) for h, f in distinct])
+        shapes = {(h, f): (max(rows // f, 1), 2**h - 1, bs) for h, f in distinct}
         if model is None:
-            fill = None
+            fill = functools.partial(_zero_loads, rows)
             sets = [{key: np.broadcast_to(0.0, shape) for key, shape in shapes.items()}]
         else:
             sampler = noise.BlockSampler(
                 model, cfg.seed, cfg.T / 2**m,
                 [noise.stream_context(stream, sidx) for sidx in idx])
+            sums = {f: np.empty((K, bs)) for _, f in distinct if f > rows}
             fill = functools.partial(_fill_loads, sampler, np.empty((rows, K, bs)),
-                                     loadmats, b == 0)
+                                     sums, loadmats, b == 0)
             sets = [{key: np.empty(shape) for key, shape in shapes.items()}
                     for _ in range(2)]
+        taken = dict.fromkeys(keys, 0)     # the steps leg i has taken
         chunks = _load_chunks(fill, sets, 2**m // rows)
         with contextlib.closing(chunks):
-            for k, loads in enumerate(chunks):
+            for loads in chunks:
                 for i, key in keys.items():
                     if i in records:
-                        _step_recorded(steppers[i], loads[key], k * len(loads[key]),
+                        _step_recorded(steppers[i], loads[key], work, taken[i],
                                        legs[i].record, ops[key[0]], records[i])
                     else:
-                        steppers[i].step_loads(loads[key])
+                        steppers[i].step_loads(loads[key], work)
+                    taken[i] += len(loads[key])
     return [np.array(records[i]) if i in records else stepper.finish().x
             for i, stepper in enumerate(steppers)]
 

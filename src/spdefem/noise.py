@@ -23,8 +23,11 @@ from .errors import CapacityError, InvalidArgumentError
 
 SAMPLER_IDENTITY = "philox4x64-10/inverse-cdf"
 
-# floats held at once for a block's stream: one whole tape, or the chunk
-# buffer and both noise load sets (the one being stepped, the one being filled)
+# floats held at once for a block's stream (8 MiB): one whole tape, or, in
+# the block driver, the chunk buffer, both noise load sets (the one being
+# stepped, the one being filled) and one running coarse sum per factor
+# larger than the chunk, counted exactly by stream_floats. Only a stream
+# whose single row exceeds it goes past it.
 MAX_TAPE_FLOATS = 2**20
 
 
@@ -123,17 +126,33 @@ class BlockSampler:
         return out
 
 
-def chunk_rows(steps, row_floats, min_rows):
-    """Fine rows per chunk of a tape whose rows hold row_floats floats each.
+def stream_floats(rows, row_floats, load_rows):
+    """Floats a block's stream holds at chunks of rows fine rows.
 
-    The largest power of two that keeps a chunk within MAX_TAPE_FLOATS, but
-    never fewer than min_rows (the largest coarsening factor, so every
-    coarse step sees whole groups) and never more than the tape's steps.
-    row_floats need not be whole.
+    row_floats is a fine tape row (K B floats), load_rows the
+    (floats per load, coarsening factor f) of each distinct load set,
+    (n B, f) for a mesh of n interior nodes. The count is exact: rows
+    tape rows; max(rows / f, 1) loads in each of the two sets that take
+    turns, for each load set; and one running (K, B) coarse sum for each
+    distinct factor larger than rows, whose groups span chunks.
     """
-    fit = int(MAX_TAPE_FLOATS // row_floats)
-    rows = 1 << (fit.bit_length() - 1) if fit else 1
-    return min(steps, max(min_rows, rows))
+    sums = len({f for _, f in load_rows if f > rows})
+    return ((rows + sums) * row_floats
+            + 2 * sum(max(rows // f, 1) * w for w, f in load_rows))
+
+
+def chunk_rows(steps, row_floats, load_rows):
+    """Fine rows per chunk of a block's stream of steps (a power of two) rows.
+
+    The largest power of two, no larger than steps, whose stream_floats
+    fits MAX_TAPE_FLOATS, or one row when none does: a single row is the
+    only way past the budget. The count never falls as rows grow, so
+    halving from steps finds it.
+    """
+    rows = steps
+    while rows > 1 and stream_floats(rows, row_floats, load_rows) > MAX_TAPE_FLOATS:
+        rows //= 2
+    return rows
 
 
 # unused by the package: benchmarks/tracing.py wraps it until ROADMAP item 1

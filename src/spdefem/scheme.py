@@ -16,6 +16,7 @@ is how the harness runs whole blocks of samples in lockstep.
 """
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -115,20 +116,57 @@ def _tame_general(u, c, alpha, expo):
     u **= alpha
 
 
+def _work_layout(n, width, drift):
+    """_Work's arrays at n interior nodes and a batch width, as (shape,
+    offset) pairs in a buffer of the returned floats: pad, rhs and tmp,
+    then vq and fq with a drift, each at a 64-byte line of its own."""
+    shapes = [(n + 2, width), (n, width), (n, width)] + ([(4, n + 1, width)] * 2 if drift else [])
+    layout, at = [], 0
+    for shape in shapes:
+        layout.append((shape, at))
+        at += -(-math.prod(shape) // 8) * 8
+    return layout, at
+
+
+def _aligned_empty(floats):
+    """An uninitialised float array of floats entries on a 64-byte boundary."""
+    raw = np.empty(floats + 7)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip:skip + floats]
+
+
+def work_buffer(steppers):
+    """One 64-byte-aligned work buffer that each of steppers can step in.
+
+    It is sized for the largest; steppers that take turns (one
+    step_loads() at a time) share it, whatever their shapes.
+    """
+    return _aligned_empty(max(_work_layout(*s._x.shape, s.config.drift is not None)[1]
+                              for s in steppers))
+
+
 class _Work:
     """Work arrays for the steps of one step_loads() call, at one batch width.
 
-    They live for one call, not for the whole run: a block holds one
-    stepper per leg, but only one of them advances at a time.
+    The arrays are carved from buf, a work_buffer (a fresh one without
+    it), each at a 64-byte line of its own, so where they sit in a cache
+    line never depends on what the heap did before. Legs of other shapes
+    step in the same buffer between calls, so the pad's two boundary rows
+    are zeroed on every call; every other entry is written before it is
+    read.
     """
 
-    def __init__(self, n, width, drift):
-        self.pad = np.zeros((n + 2, width))       # the state with its zero boundary
-        self.rhs = np.empty((n, width))
-        self.tmp = np.empty((n, width))
+    def __init__(self, n, width, drift, buf=None):
+        layout, floats = _work_layout(n, width, drift)
+        if buf is None:
+            buf = _aligned_empty(floats)
+        arrays = [buf[at:at + math.prod(shape)].reshape(shape) for shape, at in layout]
+        # the state with its zero boundary, and two (n, B) arrays
+        self.pad, self.rhs, self.tmp = arrays[:3]
+        self.pad[[0, -1]] = 0.0
         if drift:
-            self.vq = np.empty((4, n + 1, width))   # u at the quad points, then the taming factor
-            self.fq = np.empty_like(self.vq)        # f(u), then f_tamed(u)
+            # u at the quad points, then the taming factor; f(u), then f_tamed(u)
+            self.vq, self.fq = arrays[3:]
 
 
 class Stepper:
@@ -143,11 +181,13 @@ class Stepper:
     columns [i B, (i+1) B). Every group steps on the same (n, B) loads, so
     one stepper runs several starts on one driving path.
 
-    Each step_loads() allocates its work arrays once and runs every step
-    in them: the tamed drift is interpolated, evaluated, tamed and
-    assembled in place on quad-major (4, n+1, B) arrays, and the shifted
-    system is solved by the cached tridiagonal factorization (whose
-    result is the one array a step allocates).
+    Each step_loads() carves its work arrays from the 64-byte-aligned
+    buffer it is handed (work_buffer; a block hands every leg the same
+    one), or from a fresh one, and runs every step in them: the tamed
+    drift is interpolated, evaluated, tamed and assembled in place on
+    quad-major (4, n+1, B) arrays, and the shifted system is solved by the
+    cached tridiagonal factorization (whose result is the one array a
+    step allocates).
     """
 
     def __init__(self, config, batch=None):
@@ -237,9 +277,13 @@ class Stepper:
             )
             self._warned = True
 
-    def step_loads(self, loads):
-        """Step once per assembled (n, B) load of loads, shape (steps, n, B)."""
-        w = _Work(*self._x.shape, self.config.drift is not None)
+    def step_loads(self, loads, work=None):
+        """Step once per assembled (n, B) load of loads, shape (steps, n, B).
+
+        work is a work_buffer of this stepper's shape or larger; without
+        one, a fresh one is allocated.
+        """
+        w = _Work(*self._x.shape, self.config.drift is not None, work)
         for load in loads:
             self._step(w, load)
 

@@ -33,6 +33,9 @@ TINY_STRONG = {
 }
 
 
+K_GIVEN = {**TINY_STRONG, "noise": {"s": 0.5005, "K": 7}}
+
+
 def doc_file(tmp_path, doc, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -44,8 +47,8 @@ def preset_names():
     return sorted(e.name for e in root.iterdir() if e.name.endswith(".json"))
 
 
-# (subcommand, preset or None for TINY_STRONG, key, value, the field the
-# error must name); key is a dotted document path, a bare name in study,
+# (subcommand, preset, a document or None for TINY_STRONG, key, value, the
+# field the error must name); key is a dotted document path, a bare name in study,
 # or a command line flag
 MALFORMED = [
     ("smoothing", "smoothing_spatial", "p", "two", "study.p"),
@@ -123,8 +126,14 @@ MALFORMED = [
     ("equilibrate", "equilibrate_ci", "initials", [{"modes": [[10**15, 1.0]]}],
      "study.initials[0].modes"),
     ("strong-rate", None, "noise.K", 10**15, "noise.K"),
-    # the default K = 2^15 - 1 of the finest mesh
-    ("strong-rate", None, "reference", [8, 15], "noise.K"),
+    # h_exp 15: an (n, 64) block state, and the default K = 2^15 - 1 of the
+    # finest mesh, over noise.MAX_TAPE_FLOATS
+    ("strong-rate", None, "reference", [8, 15], "study.reference"),
+    # 2^40 steps a sample over harness.MAX_STEPS; 2^2000 overflows T / 2^m
+    ("strong-rate", None, "reference", [40, 3], "study.reference"),
+    ("strong-rate", None, "reference", [2000, 3], "study.reference"),
+    # a 2^30-node mesh, which a given noise.K leaves to the h_exp cap alone
+    ("strong-rate", K_GIVEN, "reference", [8, 30], "study.reference"),
 ]
 
 
@@ -205,7 +214,10 @@ class TestMainExitCodes:
             raise AssertionError("the study started work on an invalid config")
         monkeypatch.setattr(harness, "_paths_block", no_work)
         monkeypatch.setattr(harness, "smoothing_error", no_work)
-        doc = copy.deepcopy(TINY_STRONG) if preset is None else cli.load_document(preset)
+        if isinstance(preset, str):
+            doc = cli.load_document(preset)
+        else:
+            doc = copy.deepcopy(preset or TINY_STRONG)
         flags = []
         if key.startswith("--"):
             flags = [key, str(value)]

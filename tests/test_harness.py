@@ -180,7 +180,8 @@ class TestStreamedTapes:
         cfg = dataclasses.replace(make_cfg(), samples=130)
         outputs = []
         for budget in (noise.MAX_TAPE_FLOATS, 1):
-            # a budget of one float makes every chunk the largest coarsening factor
+            # a budget of one float gives chunks of one row, so every factor
+            # above 1 runs on running sums across chunks
             monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", budget)
             report = run(cfg)
             csv = cli.write_report_csv(report, cfg, tmp_path / str(budget))
@@ -269,9 +270,10 @@ def loads_hook(monkeypatch, on_call):
     fill_loads = harness._fill_loads
 
     def hooked(*args):
-        fill_loads(*args)
+        loads = fill_loads(*args)
         calls.append(threading.current_thread())
         on_call(len(calls), args[-1])
+        return loads
 
     monkeypatch.setattr(harness, "_fill_loads", hooked)
     return calls
@@ -349,9 +351,9 @@ class TestPrefetchedChunks:
         stepped = []
         step_loads = scheme.Stepper.step_loads
 
-        def counted(stepper, loads):
+        def counted(stepper, loads, *work):
             stepped.append((stepper.x.shape[1], len(loads)))
-            return step_loads(stepper, loads)
+            return step_loads(stepper, loads, *work)
 
         monkeypatch.setattr(scheme.Stepper, "step_loads", counted)
         fills = assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads)
@@ -449,17 +451,99 @@ class TestPrefetchedChunks:
         with pytest.raises(NumericalBlowupError) as excinfo:
             harness._paths_block(cfg, 0, legs)
         assert threads.all_ended()
-        # the first leg (32 fine rows a step) blew up on the first step of
-        # chunk 3, while chunk 4 was being filled
+        # in chunks of 8 rows, the first two legs (32 and 16 fine rows a
+        # step) take no step in chunk 3; the third (8 rows a step) blew up
+        # on its third step, chunk 3's one, while chunk 4 was being filled
         assert excinfo.value.step_index == 3
-        assert len(calls) == 4
+        assert calls == [8] * 4
         assert len(threads.started) == 1
+
+    def test_coarse_recorded_leg_spans_chunks(self, monkeypatch, threads):
+        # a fine unrecorded leg and a coarse recorded one on one stream, in
+        # chunks of 8 rows: the coarse factor, 16, spans two chunks, so the
+        # recorded leg steps on every other chunk and counts its own steps
+        # for the stride. The stride shares a factor with the 2 chunks a
+        # step: with an odd one, chunk index k = 2 d + 1 would meet the
+        # stride's multiples exactly when the true count d does
+        cfg = strong_cfg(samples=8)
+        legs = [harness.Leg(Resolution(9, 3), 0, (None,)),
+                harness.Leg(Resolution(5, 3), 0, (None,), equilibrate_record(2))]
+        fills = assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, 2**11)
+        assert set(fills) == {8}
 
     def test_zero_noise_starts_no_thread(self, threads):
         cfg = dataclasses.replace(strong_cfg(samples=8), s=None)
         states = harness._paths_block(cfg, 0, strong_legs(cfg))
         assert threads.started == [] and threads.all_ended()
         assert all(np.array_equal(x, np.zeros((7, 8))) for x in states)
+
+
+class TestRunningSums:
+    @pytest.mark.parametrize("f", [2, 8, 128])
+    def test_match_coarsen_coeffs(self, f):
+        # bit-equal only because numpy's reshape-sum adds the rows of a group
+        # one at a time, in order, from a copy of the first: pinned here, as
+        # another reduction order would break the coupling silently
+        tape = np.random.default_rng(f).standard_normal((1024, 63, 64))
+        want = noise.coarsen_coeffs(tape, f)
+        for rows in (1, f // 2):
+            acc = np.empty((63, 64))
+            got = [harness._coarsen_chunk(tape[lo:lo + rows], f, k, acc).copy()
+                   for k, lo in enumerate(range(0, 1024, rows))]
+            # a group ends, and gives its one row, every f / rows chunks
+            assert [len(c) for c in got] == [int((k + 1) % (f // rows) == 0)
+                                             for k in range(1024 // rows)]
+            assert np.array_equal(np.concatenate(got), want)
+
+    def test_legs_of_three_shapes_share_the_work_buffer(self, monkeypatch):
+        # n = 7, 31 and 63 step in turn in one buffer, each where the others'
+        # pad boundary rows lie, chunk after chunk; each gets bit for bit
+        # the result of stepping alone, in a buffer of its own size
+        cfg = dataclasses.replace(
+            strong_cfg(samples=8), initial_modes=((1, 2.0), (3, -0.5)),
+            grid=(Resolution(5, 3), Resolution(5, 4), Resolution(5, 5)),
+            reference=Resolution(6, 6))
+        legs = [harness.Leg(Resolution(6, h), 0, (cfg.initial_modes,)) for h in (3, 5, 6)]
+        buffers = []
+        step_loads = scheme.Stepper.step_loads
+
+        def watched(stepper, loads, work=None):
+            buffers.append(work.ctypes.data)
+            return step_loads(stepper, loads, work)
+
+        monkeypatch.setattr(scheme.Stepper, "step_loads", watched)
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**14)
+        together = harness._paths_block(cfg, 0, legs)
+        assert len(buffers) > 3 * 4 and len(set(buffers)) == 1
+        for leg, x in zip(legs, together):
+            assert np.array_equal(x, harness._paths_block(cfg, 0, [leg])[0])
+
+
+ODD_DRIFTS = [(0.0, 1.0, 0.0, -1.0), (0.0, 2.5, 0.0, -0.7)]
+
+
+@pytest.mark.parametrize("n", [7, 31, 63])
+@pytest.mark.parametrize("coeffs", ODD_DRIFTS)
+def test_odd_drift_negated_noise_negates_block(monkeypatch, n, coeffs):
+    # f odd: negating the start and every noise load negates every path bit
+    # for bit, through the running sums (chunks of 4 rows, factors 8 to 32)
+    # and the shared work buffer
+    h = (n + 1).bit_length() - 1
+    cfg = dataclasses.replace(
+        strong_cfg(samples=8), drift=DriftPolynomial(q=2, coeffs=coeffs),
+        grid=(Resolution(3, h), Resolution(4, h), Resolution(5, h)),
+        reference=Resolution(8, h))
+    start = ((1, 2.0), (2, -0.7), (5, 0.3))
+    legs = [harness.Leg(r, 0, (start,)) for r in (*cfg.grid, cfg.reference)]
+    negated = [leg._replace(starts=(tuple((j, -a) for j, a in start),)) for leg in legs]
+    monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 21 * n * 8)
+    assert noise.chunk_rows(2**8, n * 8, [(n * 8, f) for f in (32, 16, 8, 1)]) == 4
+    plain = harness._paths_block(cfg, 0, legs)
+    fill = noise.BlockSampler.fill
+    monkeypatch.setattr(noise.BlockSampler, "fill",
+                        lambda sampler, out: np.negative(fill(sampler, out), out=out))
+    for x, y in zip(plain, harness._paths_block(cfg, 0, negated)):
+        assert np.any(x != 0) and np.array_equal(y, -x)
 
 
 class TestWeakStudy:

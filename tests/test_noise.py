@@ -1,10 +1,13 @@
 """Spectral noise sampling, path tapes, coarsening, stream book-keeping."""
 
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from spdefem import harness, noise
+from spdefem import cli, harness, noise
 from spdefem.errors import CapacityError, InvalidArgumentError
 
 
@@ -171,43 +174,88 @@ class TestChunkedTapes:
 
     def test_chunk_rows_policy(self, monkeypatch):
         # 2**20 floats of a 63-mode, 64-sample block: 256 rows of 4032 floats
-        assert noise.chunk_rows(4096, 63 * 64, 128) == 256
-        # never fewer rows than the largest coarsening factor
-        assert noise.chunk_rows(4096, 63 * 64, 1024) == 1024
+        assert noise.chunk_rows(4096, 63 * 64, []) == 256
+        # a factor above the chunk costs one load a set and one running sum,
+        # 259 x 4032 floats at 256 rows; it never forces a larger chunk
+        assert noise.stream_floats(256, 63 * 64, [(63 * 64, 1024)]) == 259 * 63 * 64
+        assert noise.chunk_rows(4096, 63 * 64, [(63 * 64, 1024)]) == 256
         # never more rows than the tape has
-        assert noise.chunk_rows(64, 10, 1) == 64
+        assert noise.chunk_rows(64, 10, [(10, 1)]) == 64
         # a row larger than the budget still gets a chunk of one row
-        assert noise.chunk_rows(8, 2**21, 1) == 1
-        # _paths_block's budget holds the tape buffer and both load sets
+        assert noise.chunk_rows(8, 2**21, []) == 1
+        # _paths_block's budget holds the tape buffer, both load sets and
+        # the running sums
         assert block_chunk_rows(monkeypatch, [(8, h) for h in range(5, 10)]) == 4
         assert block_chunk_rows(monkeypatch, [(m, 6) for m in (6, 7, 8, 9, 12)]) == 64
-        # the largest factor, 128, forces the group size
-        assert block_chunk_rows(monkeypatch, [(m, 6) for m in (5, 6, 7, 8, 12)]) == 128
+        # the weak ladder: its largest factor, 128, spans two chunks of 64
+        # rows, (65 + 2 (1 + 1 + 2 + 4 + 64)) x 4032 floats
+        rows, floats = block_plan(monkeypatch, *ladder([(m, 6) for m in (5, 6, 7, 8, 12)]))
+        assert (rows, floats) == (64, 209 * 63 * 64)
 
 
 class _Sized(Exception):
     pass
 
 
-def block_chunk_rows(monkeypatch, resolutions):
-    """Rows per chunk of a 64-sample block whose legs share stream 0.
-
-    The resolutions are (m, h_exp), the last one the reference; K is the
-    finest mesh's n. The block stops once the rows are chosen.
-    """
-    picked = []
-    chosen = noise.chunk_rows
-
-    def spy(*args):
-        picked.append(chosen(*args))
-        raise _Sized
-
+def ladder(resolutions):
+    """A 64-sample strong-rate config and its legs on stream 0 over the
+    resolutions (m, h_exp), the last one the reference; K is the finest
+    mesh's n."""
     grid = tuple(harness.Resolution(m, h) for m, h in resolutions)
     cfg = harness.StudyConfig(
         kind="strong_rate", L=1.0, drift=None, taming=None, initial_modes=None,
         s=0.5005, K=None, grid=grid[:-1], reference=grid[-1], T=1.0,
         samples=64, seed=0)
+    return cfg, [harness.Leg(r, 0, (None,)) for r in grid]
+
+
+def block_plan(monkeypatch, cfg, legs, b=0):
+    """The rows per chunk that block b of cfg picks for its first stream,
+    and that stream's noise.stream_floats. The block stops once the rows
+    are chosen."""
+    picked = []
+    chosen = noise.chunk_rows
+
+    def spy(*args):
+        picked.append((chosen(*args), args))
+        raise _Sized
+
     with monkeypatch.context() as patch, pytest.raises(_Sized):
         patch.setattr(noise, "chunk_rows", spy)
-        harness._paths_block(cfg, 0, [harness.Leg(r, 0, (None,)) for r in grid])
-    return picked[0]
+        harness._paths_block(cfg, b, legs)
+    rows, (_, *plan) = picked[0]
+    return rows, noise.stream_floats(rows, *plan)
+
+
+def block_chunk_rows(monkeypatch, resolutions):
+    """Rows per chunk of a 64-sample block whose legs share stream 0."""
+    return block_plan(monkeypatch, *ladder(resolutions))[0]
+
+
+class _Legs(Exception):
+    pass
+
+
+def noisy_presets():
+    root = resources.files("spdefem") / "presets"
+    return sorted(e.name[:-5] for e in root.iterdir()
+                  if e.name.endswith(".json") and json.loads(e.read_text()).get("noise"))
+
+
+@pytest.mark.parametrize("preset", noisy_presets())
+def test_every_preset_stream_fits_the_budget(monkeypatch, preset):
+    # every stream of every block shape (the first and the tail block)
+    cfg, extras = cli.parse_document(cli.load_document(preset))
+
+    def legs_of(cfg, legs, per_sample):
+        raise _Legs(legs)
+
+    with monkeypatch.context() as patch, pytest.raises(_Legs) as caught:
+        patch.setattr(harness, "_run_legs", legs_of)
+        cli.STUDIES[cfg.kind][0](cfg, **extras)
+    legs = caught.value.args[0]
+    for b in {0, harness._n_blocks(cfg) - 1}:
+        for stream in dict.fromkeys(leg.stream for leg in legs):
+            rows, floats = block_plan(monkeypatch, cfg,
+                                      [leg for leg in legs if leg.stream == stream], b)
+            assert floats <= noise.MAX_TAPE_FLOATS, (b, stream, rows)

@@ -166,6 +166,25 @@ class TestFusedDriftKernel:
         assert np.array_equal(whole.finish().x, single.finish().x)
 
 
+@pytest.mark.parametrize("n", [7, 31, 63])
+@pytest.mark.parametrize("coeffs", [(0.0, 1.0, 0.0, -1.0), (0.0, 2.5, 0.0, -0.7)])
+def test_odd_drift_negated_noise_negates_path(n, coeffs):
+    # f odd: negating the start and every noise load negates the path bit
+    # for bit, the taming (even in u) included
+    ops = fem1d.assemble_operators(fem1d.build_mesh(1.0, n))
+    rng = np.random.default_rng([n, len(coeffs)])
+    x0 = 3.0 * rng.standard_normal(n)
+    loads = 0.2 * rng.standard_normal((200, n, 4))
+    poly = drift.DriftPolynomial(q=2, coeffs=coeffs)
+    states = []
+    for sign in (1.0, -1.0):
+        cfg = scheme.make_scheme_config(ops, poly, TAMING, 1.0 / 64, sign * x0)
+        stepper = scheme.Stepper(cfg, 4)
+        stepper.step_loads(sign * loads)
+        states.append(stepper.finish().x)
+    assert np.any(states[0] != 0) and np.array_equal(states[1], -states[0])
+
+
 class TestColumnGroups:
     @pytest.mark.parametrize("n", [31, 63])
     @pytest.mark.parametrize("batch", [1, 64])
@@ -325,8 +344,9 @@ class TestRecording:
         whole, rec = recorded_run(cfg, loads, 4, observe_all)
         stepper = scheme.Stepper(cfg, 3)
         rows = [observe_all(cfg.ops, stepper.x)]
+        work = scheme.work_buffer([stepper])
         for lo, hi in ((0, 5), (5, 8), (8, 16)):
-            harness._step_recorded(stepper, loads[lo:hi], lo, (4, observe_all),
+            harness._step_recorded(stepper, loads[lo:hi], work, lo, (4, observe_all),
                                    cfg.ops, rows)
         chunked = stepper.finish()
         assert (chunked.m, chunked.t) == (whole.m, whole.t)
