@@ -171,7 +171,12 @@ def _hat_sine_amplitudes(mesh, K):
         raise InvalidArgumentError(f"K must be >= 1, got {K}")
     k = np.arange(1, K + 1, dtype=float) * np.pi / mesh.L
     h = mesh.h
-    return np.sqrt(2.0 / mesh.L) * (2.0 / (k**2 * h)) * (1.0 - np.cos(k * h)), k
+    return np.sqrt(2.0 / mesh.L) * (2.0 / (k**2 * h)) * _one_minus_cos(k * h), k
+
+
+def _one_minus_cos(x):
+    """1 - cos(x) as 2 sin^2(x / 2), with no cancellation at small x."""
+    return 2.0 * np.sin(x / 2.0) ** 2
 
 
 def sine_load_matrix(mesh, K):
@@ -276,7 +281,7 @@ def _mass_eigenvalues(mesh):
 def uniform_mesh_eigenvalue(mesh, j):
     """Closed-form discrete eigenvalue of the uniform P1 mesh, mode j (or an array)."""
     th = j * np.pi * mesh.h / mesh.L
-    return (6.0 / mesh.h**2) * (1.0 - np.cos(th)) / (2.0 + np.cos(th))
+    return (6.0 / mesh.h**2) * _one_minus_cos(th) / (2.0 + np.cos(th))
 
 
 def fractional_seminorm_sq(ops, gamma, v):

@@ -185,6 +185,32 @@ class TestProjection:
         assert val == pytest.approx(1.0 / 8.0, abs=1e-15)
 
 
+def one_minus_cos_series(x):
+    """Taylor series of 1 - cos(x) through x^8. The x^8 term is 1.1e-14 of
+    the sum at x = 4 pi 2^-9, so the series must reach it for a 1e-14 bound."""
+    return x**2 / 2 - x**4 / 24 + x**6 / 720 - x**8 / 40320
+
+
+class TestSmallAngles:
+    # 1 - cos(j pi h) computed as written cancels at small h: mode 1 was off
+    # by 1.8e-12 relative at h = 2^-9 and 2.2e-9 at 2^-14, the finest mesh
+    # a study allows
+    @pytest.mark.parametrize("h_exp", [9, 14])
+    def test_hat_sine_amplitudes(self, h_exp):
+        mesh = fem1d.build_mesh(1.0, 2**h_exp - 1)
+        amp, k = fem1d._hat_sine_amplitudes(mesh, 4)
+        want = np.sqrt(2.0) * 2.0 / (k**2 * mesh.h) * one_minus_cos_series(k * mesh.h)
+        assert np.all(np.abs(amp - want) <= 1e-14 * want)
+
+    @pytest.mark.parametrize("h_exp", [9, 14])
+    def test_uniform_mesh_eigenvalue(self, h_exp):
+        mesh = fem1d.build_mesh(1.0, 2**h_exp - 1)
+        x = np.arange(1, 5) * np.pi * mesh.h
+        want = 6.0 / mesh.h**2 * one_minus_cos_series(x) / (2.0 + np.cos(x))
+        lam = fem1d.uniform_mesh_eigenvalue(mesh, np.arange(1, 5))
+        assert np.all(np.abs(lam - want) <= 1e-14 * want)
+
+
 class TestSpectrum:
     def test_first_eigenvalue_closed_form(self):
         ops = ops_for(1.0, 3)
