@@ -334,13 +334,8 @@ def l2_norm_sq_mass(ops, v):
     return np.einsum("i...,i...->...", v, tridiag_matvec(ops.mass, v))
 
 
-def prolong(mesh_coarse, mesh_fine, v):
-    """Exact P1 interpolation from a coarse dyadic mesh to a nested finer one.
-
-    Requires the fine partition to refine the coarse one by an integer
-    factor (same L). Interpolation weights are exact dyadic rationals, so
-    the transfer is reproducible bit for bit.
-    """
+def _nesting_factor(mesh_coarse, mesh_fine):
+    """F, the integer number of fine cells in each coarse cell."""
     if mesh_coarse.L != mesh_fine.L:
         raise InvalidArgumentError("meshes cover different intervals")
     ratio_num = mesh_fine.n_interior + 1
@@ -349,7 +344,17 @@ def prolong(mesh_coarse, mesh_fine, v):
         raise InvalidArgumentError(
             f"fine mesh ({ratio_num} cells) does not nest coarse mesh ({ratio_den} cells)"
         )
-    F = ratio_num // ratio_den
+    return ratio_num // ratio_den
+
+
+def prolong(mesh_coarse, mesh_fine, v):
+    """Exact P1 interpolation from a coarse dyadic mesh to a nested finer one.
+
+    Requires the fine partition to refine the coarse one by an integer
+    factor (same L). Interpolation weights are exact dyadic rationals, so
+    the transfer is reproducible bit for bit. Its transpose is restrict.
+    """
+    F = _nesting_factor(mesh_coarse, mesh_fine)
     v = np.asarray(v, dtype=float)
     squeeze = v.ndim == 1
     if squeeze:
@@ -361,3 +366,34 @@ def prolong(mesh_coarse, mesh_fine, v):
     w = rem / F
     out = (1.0 - w)[:, None] * vext[q] + w[:, None] * vext[q + 1]
     return out[:, 0] if squeeze else out
+
+
+def restrict(mesh_coarse, mesh_fine, y, out=None):
+    """The transpose of prolong: fine data to a nested coarser mesh, node axis first.
+
+    Coarse hat c is sum_d (1 - |d|/F) times the fine hats at |d| < F fine
+    nodes from its own, so restricting the integrals of a function against
+    the fine hats gives its integrals against the coarse ones exactly (up
+    to round-off). y is (n_fine, ...); the (n_coarse, ...) result is
+    written into out when given. The integer weights F - |d| enter one
+    binary digit at a time, highest first (Horner's rule in base 2), so
+    every operation is an in-place add to out or an exact scaling of it:
+    nothing is allocated, and each entry of out depends on the same
+    column of y alone.
+    """
+    F = _nesting_factor(mesh_coarse, mesh_fine)
+    y = np.asarray(y, dtype=float)
+    n = mesh_coarse.n_interior
+    if out is None:
+        out = np.empty((n,) + y.shape[1:])
+    out[...] = 0.0
+    for bit in reversed(range((F - 1).bit_length())):
+        out *= 2.0
+        for d in range(1, F):
+            if (F - d) >> bit & 1:
+                # fine index c F + F - 1 is coarse node c
+                out += y[F - 1 - d::F][:n]
+                out += y[F - 1 + d::F]
+    out /= F
+    out += y[F - 1::F]
+    return out

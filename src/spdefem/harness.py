@@ -296,16 +296,19 @@ def _coarsen_chunk(tape, f, k, acc):
     return acc[None][:_chunk_loads(rows, f, k)]
 
 
-def _fill_loads(sampler, tape, sums, loadmats, check_coupling, k, out):
+def _fill_loads(sampler, tape, sums, loadmats, meshes, check_coupling, k, out):
     """Assemble chunk k's noise loads into out, a load set, and return its
     loads of this chunk, out[(h_exp, f)][:_chunk_loads(rows, f, k)].
 
     Draws the chunk into tape and coarsens it once per distinct factor f
     (_coarsen_chunk, with sums[f] the running sum of a factor above the
     chunk's rows; only this thread touches it, as the legs step on the
-    load sets). out[(h_exp, f)] gets one stacked product of
-    loadmats[h_exp], the sine load matrix of that mesh, and the chunk's
-    coarse rows.
+    load sets). The load sets of one factor come in out finest mesh
+    first. The first gets one stacked product of loadmats[h_exp], the
+    sine load matrix of its mesh, and the chunk's coarse rows. Each later
+    one restricts the one before it (fem1d.restrict on meshes[h_exp],
+    along the node axis, in its own buffer): a coarse hat is a
+    combination of fine ones, so its loads are the finer loads restricted.
     """
     sampler.fill(tape)
     coarse = {f: _coarsen_chunk(tape, f, k, sums.get(f))
@@ -316,8 +319,17 @@ def _fill_loads(sampler, tape, sums, loadmats, check_coupling, k, out):
         for f, c in coarse.items():
             if f <= len(tape):
                 assert np.array_equal(c[0], tape[:f].sum(axis=0))
-    return {(h, f): np.matmul(loadmats[h], coarse[f], out=loads[:len(coarse[f])])
-            for (h, f), loads in out.items()}
+    loads, finer = {}, {}
+    for (h, f), buf in out.items():
+        loads[(h, f)] = dest = buf[:len(coarse[f])]
+        if f in finer:
+            fem1d.restrict(meshes[h], meshes[finer[f]],
+                           np.moveaxis(loads[(finer[f], f)], 1, 0),
+                           out=np.moveaxis(dest, 1, 0))
+        else:
+            np.matmul(loadmats[h], coarse[f], out=dest)
+        finer[f] = h
+    return loads
 
 
 def _load_chunks(fill, sets, n_chunks):
@@ -400,10 +412,12 @@ def _paths_block(cfg, b, legs):
     is ever held. A helper thread turns the next chunk into noise loads
     while the legs step the current one (_load_chunks): it draws the
     chunk, coarsens it once per distinct factor and assembles one load
-    set per distinct (mesh, factor) with that mesh's sine load matrix,
-    one per mesh and block; every leg of that shape steps on the set. A
-    factor larger than the chunk keeps a running (K, bs) coarse sum
-    across chunks (_fill_loads), so its leg steps once at the end of each
+    set per distinct (mesh, factor); every leg of that shape steps on the
+    set. Each factor costs one dense product, with the sine load matrix
+    of its finest mesh (built once per block, and only for such meshes);
+    its coarser meshes restrict that product one load set to the next
+    (_fill_loads). A factor larger than the chunk keeps a running (K, bs)
+    coarse sum across chunks, so its leg steps once at the end of each
     of its groups and on nothing in the chunks between. The helper
     touches no stepper.
 
@@ -435,15 +449,16 @@ def _paths_block(cfg, b, legs):
         steppers.append(scheme.Stepper(sc, bs))
         if leg.record is not None:
             records[i] = [leg.record[1](o, steppers[i].x)]
-    loadmats = {} if model is None else {
-        h: fem1d.sine_load_matrix(o.mesh, K) for h, o in ops.items()}
+    loadmats = {}
+    meshes = {h: o.mesh for h, o in ops.items()}
     work = scheme.work_buffer(steppers)
     for stream in dict.fromkeys(leg.stream for leg in legs):
         m = max(leg.res.m for leg in legs if leg.stream == stream)
         # leg i steps on the load set of its (mesh, coarsening factor)
         keys = {i: (leg.res.h_exp, 2 ** (m - leg.res.m))
                 for i, leg in enumerate(legs) if leg.stream == stream}
-        distinct = dict.fromkeys(keys.values())
+        # each factor's load sets finest mesh first, as _fill_loads assembles them
+        distinct = sorted(set(keys.values()), key=lambda key: (key[1], -key[0]))
         rows = noise.chunk_rows(2**m, K * bs, [((2**h - 1) * bs, f) for h, f in distinct])
         shapes = {(h, f): (max(rows // f, 1), 2**h - 1, bs) for h, f in distinct}
         if model is None:
@@ -454,8 +469,12 @@ def _paths_block(cfg, b, legs):
                 model, cfg.seed, cfg.T / 2**m,
                 [noise.stream_context(stream, sidx) for sidx in idx])
             sums = {f: np.empty((K, bs)) for _, f in distinct if f > rows}
+            # one product per factor, on its finest mesh
+            for h in {max(h for h, g in distinct if g == f) for _, f in distinct}:
+                if h not in loadmats:
+                    loadmats[h] = fem1d.sine_load_matrix(meshes[h], K)
             fill = functools.partial(_fill_loads, sampler, np.empty((rows, K, bs)),
-                                     sums, loadmats, b == 0)
+                                     sums, loadmats, meshes, b == 0)
             sets = [{key: np.empty(shape) for key, shape in shapes.items()}
                     for _ in range(2)]
         taken = dict.fromkeys(keys, 0)     # the steps leg i has taken

@@ -15,7 +15,8 @@ import numpy as np
 from spdefem import fem1d, harness, noise
 from spdefem.smoothing_lab import evaluate_spectral, exact_semigroup
 
-from dense_reference import dense_eigenpairs, element_quad_points
+from dense_reference import (dense_eigenpairs, dense_mass_stiffness, dense_sine_loads,
+                             element_quad_points, hat)
 
 
 def _spectral_coeffs(ops, x):
@@ -65,6 +66,53 @@ def drift_free_weak_errors(cfg):
     """
     ref = drift_free_weak_value(cfg, cfg.reference)
     return np.array([abs(drift_free_weak_value(cfg, r) - ref) for r in cfg.grid])
+
+
+def drift_free_strong_space_msq(cfg):
+    """E ||X_ref - P X_g||_M^2 at the final time per grid entry, for the
+    drift-free scheme from zero data on a grid of meshes at the reference's m.
+
+    All meshes step on the same increments dW^k ~ N(0, tau Q), and P is
+    the P1 interpolation onto the reference mesh. With the M-orthonormal
+    eigenpairs of each mesh (E^T M E = I), (M + tau S)^{-1} = E R E^T with
+    R = diag(1 / (1 + tau lambda)), so after N steps
+
+        X^N = sum_{j=1}^N E R^j G dW^{N-j+1},    G = E^T B,
+
+    B the mesh's sine loads, and the error is sum_j A_j dW^{N-j+1} with
+    A_j = E_ref R_ref^j G_ref - P E_g R_g^j G_g. Summed step by step:
+
+        E ||X_ref - P X_g||_M^2 = tau sum_j sum_k q_k (A_j^T M_ref A_j)_kk.
+    """
+    if cfg.drift is not None or cfg.initial_modes is not None:
+        raise ValueError("closed form covers the drift-free scheme from zero data")
+    ref = cfg.reference
+    if any(r.m != ref.m for r in cfg.grid):
+        raise ValueError("closed form covers a grid of meshes at one m")
+    model = harness.noise_model_for(cfg)
+    q = noise.coefficient_scales(model) ** 2
+    tau = harness._tau_for(cfg, ref)
+    n_ref = 2**ref.h_exp - 1
+    x_ref = np.arange(1, n_ref + 1) * cfg.L / (n_ref + 1)
+    M_ref, _ = dense_mass_stiffness(cfg.L, n_ref)
+
+    def eigen(n):
+        lam, modes = dense_eigenpairs(cfg.L, n)
+        return modes, 1.0 / (1.0 + tau * lam), modes.T @ dense_sine_loads(cfg.L, n, model.K)
+
+    E_ref, r_ref, G_ref = eigen(n_ref)
+    out = []
+    for res in cfg.grid:
+        n = 2**res.h_exp - 1
+        h = cfg.L / (n + 1)
+        P = hat(x_ref[:, None], np.arange(1, n + 1)[None, :] * h, h)
+        E, r, G = eigen(n)
+        total = 0.0
+        for j in range(1, 2**ref.m + 1):
+            A = (E_ref * r_ref**j) @ G_ref - P @ ((E * r**j) @ G)
+            total += np.sum(q * np.sum(A * (M_ref @ A), axis=0))
+        out.append(tau * total)
+    return np.array(out)
 
 
 def semidiscrete_smoothing_error(ops, t, v):

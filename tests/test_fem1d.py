@@ -443,3 +443,53 @@ class TestProlong:
         assert FV.shape == (7, 2)
         for b in range(2):
             assert np.array_equal(FV[:, b], fem1d.prolong(coarse, fine, V[:, b]))
+
+
+NESTED = [(3, 4), (3, 6), (5, 9)]
+
+
+def nested(h_coarse, h_fine):
+    return (fem1d.build_mesh(1.0, 2**h_coarse - 1), fem1d.build_mesh(1.0, 2**h_fine - 1))
+
+
+class TestRestrict:
+    @pytest.mark.parametrize("hc,hf", NESTED)
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    def test_adjoint_of_prolong(self, hc, hf, batch):
+        # <prolong(v), y> = <v, restrict(y)>: restrict is prolong's transpose
+        coarse, fine = nested(hc, hf)
+        rng = np.random.default_rng([hc, hf, len(batch)])
+        v = rng.standard_normal((coarse.n_interior, *batch))
+        y = rng.standard_normal((fine.n_interior, *batch))
+        left = np.sum(fem1d.prolong(coarse, fine, v) * y, axis=0)
+        right = np.sum(v * fem1d.restrict(coarse, fine, y), axis=0)
+        scale = np.abs(fem1d.prolong(coarse, fine, v) * y).sum(axis=0)
+        assert np.all(np.abs(left - right) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("hc,hf", NESTED)
+    @pytest.mark.parametrize("K_of_n", [lambda n: n, lambda n: 3 * n], ids=["n", "3n"])
+    def test_restricted_loads_are_the_coarse_loads(self, hc, hf, K_of_n):
+        # a coarse hat is a combination of fine hats, so its integrals
+        # against the sine basis are the fine ones restricted
+        coarse, fine = nested(hc, hf)
+        K = K_of_n(fine.n_interior)
+        got = fem1d.restrict(coarse, fine, fem1d.sine_load_matrix(fine, K))
+        want = fem1d.sine_load_matrix(coarse, K)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_writes_into_out_along_the_first_axis(self):
+        # a load stack (rows, n, B) restricts through a node-first view of
+        # its own buffer, and no entry sees another row or column
+        coarse, fine = nested(3, 6)
+        y = np.random.default_rng(9).standard_normal((4, fine.n_interior, 3))
+        out = np.full((4, coarse.n_interior, 3), np.nan)
+        got = fem1d.restrict(coarse, fine, np.moveaxis(y, 1, 0), out=np.moveaxis(out, 1, 0))
+        assert np.shares_memory(got, out)
+        for r in range(4):
+            for b in range(3):
+                assert np.array_equal(out[r, :, b], fem1d.restrict(coarse, fine, y[r, :, b]))
+
+    def test_non_nested_meshes_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            fem1d.restrict(fem1d.build_mesh(1.0, 4), fem1d.build_mesh(1.0, 31),
+                           np.zeros(31))

@@ -15,6 +15,7 @@ from spdefem.drift import DriftPolynomial, TamingParams
 from spdefem.errors import CapacityError, InvalidArgumentError, NumericalBlowupError
 from spdefem.harness import Resolution, StudyConfig
 
+from closed_forms import drift_free_strong_space_msq
 from stepping import recorded_run
 
 CUBIC = DriftPolynomial(q=2, coeffs=(0.0, 1.0, 0.0, -1.0))
@@ -28,6 +29,14 @@ def strong_cfg(samples=8, workers=1, seed=13):
         grid=(Resolution(4, 3), Resolution(5, 3), Resolution(6, 3)),
         reference=Resolution(9, 3), T=0.5, samples=samples, seed=seed,
         workers=workers)
+
+
+def strong_space_cfg():
+    # a spatial ladder with a gap: h = 2^-4 restricts h = 2^-7 (F = 8), and
+    # h = 2^-3 and 2^-2 halve it in turn
+    return dataclasses.replace(
+        strong_cfg(), grid=(Resolution(5, 2), Resolution(5, 3), Resolution(5, 4)),
+        reference=Resolution(5, 7))
 
 
 def weak_cfg(crn, samples=32):
@@ -59,6 +68,7 @@ def moment_cfg():
 # every Monte Carlo study: (study function, config builder)
 MC_STUDIES = {
     "strong": (harness.strong_rate_study, strong_cfg),
+    "strong_space": (harness.strong_rate_study, strong_space_cfg),
     "weak_crn": (harness.weak_rate_study, lambda: weak_cfg(crn=True)),
     "weak_independent": (harness.weak_rate_study, lambda: weak_cfg(crn=False)),
     "equilibrate": (harness.equilibration_study, equilibrate_cfg),
@@ -145,8 +155,8 @@ class TestStrongStudy:
         assert np.all(rep.errors > 3 * rep.stderrs)
         assert rep.metadata["sampler"] == "philox4x64-10/inverse-cdf"
 
-    @pytest.mark.parametrize("study", ["strong", "weak_crn", "weak_independent",
-                                       "equilibrate", "longtime"])
+    @pytest.mark.parametrize("study", ["strong", "strong_space", "weak_crn",
+                                       "weak_independent", "equilibrate", "longtime"])
     def test_worker_count_never_changes_results(self, study, tmp_path):
         run, make_cfg = MC_STUDIES[study]
         outputs = []
@@ -159,6 +169,22 @@ class TestStrongStudy:
             summary.pop("metadata")
             outputs.append((csv.read_bytes(), summary))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("s", [0.5005, 0.0])
+    def test_drift_free_space_errors_match_exact_law(self, s):
+        # sampler, coupling, product, restriction and reduction together: the
+        # mean squares of h = 2^-3..2^-5 against 2^-6 lie within 4 standard
+        # errors of their exact values (seed fixed before any run)
+        cfg = StudyConfig(
+            kind="strong_rate", L=1.0, drift=None, taming=None,
+            initial_modes=None, s=s, K=None,
+            grid=(Resolution(5, 3), Resolution(5, 4), Resolution(5, 5)),
+            reference=Resolution(5, 6), T=0.5, samples=512, seed=8)
+        rep = harness.strong_rate_study(cfg)
+        mean2 = rep.errors**2
+        se_mean2 = 2.0 * rep.errors * rep.stderrs
+        z = (mean2 - drift_free_strong_space_msq(cfg)) / se_mean2
+        assert np.all(np.abs(z) <= 4.0), z
 
     def test_stderr_shrinks_like_root_n(self):
         e1 = harness.strong_rate_study(strong_cfg(samples=64)).stderrs
@@ -173,8 +199,8 @@ class TestStrongStudy:
 
 
 class TestStreamedTapes:
-    @pytest.mark.parametrize("study", ["strong", "weak_crn", "weak_independent",
-                                       "equilibrate", "longtime"])
+    @pytest.mark.parametrize("study", ["strong", "strong_space", "weak_crn",
+                                       "weak_independent", "equilibrate", "longtime"])
     def test_chunk_size_never_changes_results(self, study, tmp_path, monkeypatch):
         run, make_cfg = MC_STUDIES[study]
         cfg = dataclasses.replace(make_cfg(), samples=130)
@@ -206,6 +232,49 @@ class TestStreamedTapes:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+    def test_spatial_block_restricts_in_place(self, monkeypatch):
+        # four meshes at one m and factor 1: the three coarse load sets are
+        # restricted into their own buffers, so the block holds its stream,
+        # one sine load matrix and the work buffer, and less than 1 MB else.
+        # One restricted chunk at n = 127 alone would be 2.1 MB
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**22)
+        cfg = StudyConfig(
+            kind="strong_rate", L=1.0, drift=None, taming=None,
+            initial_modes=None, s=0.5005, K=None,
+            grid=(Resolution(6, 5), Resolution(6, 6), Resolution(6, 7)),
+            reference=Resolution(6, 8), T=0.5, samples=64, seed=1)
+        legs = [harness.Leg(r, 0, (None,)) for r in (*cfg.grid, cfg.reference)]
+        load_rows = [((2**h - 1) * 64, 1) for h in (5, 6, 7, 8)]
+        rows = noise.chunk_rows(2**6, 255 * 64, load_rows)
+        assert rows == 32
+        held = (noise.stream_floats(rows, 255 * 64, load_rows) + 255 * 255
+                + scheme._work_layout(255, 64, False)[1])
+        tracemalloc.start()
+        try:
+            harness._paths_block(cfg, 0, legs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * held + 1e6
+
+    def test_one_sine_load_matrix_per_factor(self, monkeypatch):
+        # the fine_mesh benchmark's shape, h = 2^-5..2^-9 at one m: only the
+        # finest mesh takes a product
+        calls = []
+        sine_load_matrix = fem1d.sine_load_matrix
+
+        def spy(mesh, K):
+            calls.append((mesh.n_interior, K))
+            return sine_load_matrix(mesh, K)
+
+        monkeypatch.setattr(fem1d, "sine_load_matrix", spy)
+        cfg = dataclasses.replace(
+            strong_cfg(samples=2),
+            grid=(Resolution(2, 5), Resolution(2, 6), Resolution(2, 7), Resolution(2, 8)),
+            reference=Resolution(2, 9))
+        harness._paths_block(cfg, 0, strong_legs(cfg))
+        assert calls == [(511, 511)]
 
 
 class _Boom(Exception):
@@ -282,8 +351,11 @@ def loads_hook(monkeypatch, on_call):
 def assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, budget=2**13):
     """_paths_block on stream 0 against each leg run whole on its coarsening
     of stacked whole tapes: an independent oracle for the load set order.
-    A recorded leg's oracle is tests/stepping.py's recorded_run, one step
-    at a time.
+    A leg on the finest mesh of its factor steps on the product of its sine
+    load matrix; a coarser one on the next finer mesh's loads of that
+    factor restricted whole, which lie within 1e-12 of its own product. A
+    recorded leg's oracle is tests/stepping.py's recorded_run, one step at
+    a time.
 
     Chunking happens only in _paths_block, at a budget of 4 or more chunks.
     Returns the rows of every chunk filled.
@@ -306,10 +378,23 @@ def assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, budget=2**13
     assert threads.all_ended()
     fills = list(fills)
     bs = tapes.shape[2]
+    loads = {}
+    for h, f in sorted({(leg.res.h_exp, 2**(m - leg.res.m)) for leg in legs},
+                       key=lambda key: (key[1], -key[0])):
+        mesh = fem1d.build_mesh(cfg.L, 2**h - 1)
+        product = np.matmul(fem1d.sine_load_matrix(mesh, model.K),
+                            noise.coarsen_coeffs(tapes, f))
+        finer = [g for g, e in loads if e == f]
+        if finer:
+            restricted = fem1d.restrict(mesh, fem1d.build_mesh(cfg.L, 2**finer[-1] - 1),
+                                        np.moveaxis(loads[(finer[-1], f)], 1, 0))
+            loads[(h, f)] = np.moveaxis(restricted, 0, 1)
+            assert np.abs(loads[(h, f)] - product).max() <= 1e-12 * np.abs(product).max()
+        else:
+            loads[(h, f)] = product
     for leg, result in zip(legs, got):
         ops = fem1d.assemble_operators(harness._mesh_for(cfg, leg.res))
-        tape = noise.coarsen_coeffs(tapes, 2**(m - leg.res.m))
-        loads = np.matmul(fem1d.sine_load_matrix(ops.mesh, model.K), tape)
+        leg_loads = loads[(leg.res.h_exp, 2**(m - leg.res.m))]
         # start i of the leg is its column group i, run here on its own
         for i, modes in enumerate(leg.starts):
             cols = slice(i * bs, (i + 1) * bs)
@@ -317,10 +402,11 @@ def assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, budget=2**13
                                            cfg.T / 2**leg.res.m,
                                            harness._initial_vector(cfg, ops, modes))
             if leg.record is None:
-                want, _ = scheme.run(sc, tape)
-                assert np.array_equal(result[:, cols], want.x)
+                stepper = scheme.Stepper(sc, bs)
+                stepper.step_loads(leg_loads)
+                assert np.array_equal(result[:, cols], stepper.finish().x)
             else:
-                _, rec = recorded_run(sc, loads, *leg.record)
+                _, rec = recorded_run(sc, leg_loads, *leg.record)
                 assert result.shape[0] == 2**leg.res.m // leg.record[0] + 1
                 assert np.array_equal(result[:, :, cols], rec)
     return fills
@@ -333,7 +419,8 @@ class TestPrefetchedChunks:
         assert_matches_whole_tape_runs(cfg, strong_legs(cfg), monkeypatch, threads)
 
     def test_meshes_at_one_m_match_whole_tape_runs(self, monkeypatch, threads):
-        # the strong rate in space: a load set per mesh, all at factor 1
+        # the strong rate in space: a load set per mesh, all at factor 1, and
+        # one product, on the finest mesh: the others restrict it in turn
         cfg = dataclasses.replace(
             strong_cfg(samples=8),
             grid=(Resolution(5, 2), Resolution(5, 3), Resolution(5, 4)),
@@ -498,12 +585,16 @@ class TestRunningSums:
     def test_legs_of_three_shapes_share_the_work_buffer(self, monkeypatch):
         # n = 7, 31 and 63 step in turn in one buffer, each where the others'
         # pad boundary rows lie, chunk after chunk; each gets bit for bit
-        # the result of stepping alone, in a buffer of its own size
+        # the result of stepping alone, in a buffer of its own size. Each
+        # leg is the finest mesh of its own factor (1, 2 and 4), so it steps
+        # on a product, not a restriction, and alone beside a leg at n = 1
+        # that keeps the stream's tape at m = 6 it steps on the same one
         cfg = dataclasses.replace(
             strong_cfg(samples=8), initial_modes=((1, 2.0), (3, -0.5)),
             grid=(Resolution(5, 3), Resolution(5, 4), Resolution(5, 5)),
             reference=Resolution(6, 6))
-        legs = [harness.Leg(Resolution(6, h), 0, (cfg.initial_modes,)) for h in (3, 5, 6)]
+        legs = [harness.Leg(Resolution(m, h), 0, (cfg.initial_modes,))
+                for m, h in ((6, 3), (5, 5), (4, 6))]
         buffers = []
         step_loads = scheme.Stepper.step_loads
 
@@ -515,8 +606,9 @@ class TestRunningSums:
         monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**14)
         together = harness._paths_block(cfg, 0, legs)
         assert len(buffers) > 3 * 4 and len(set(buffers)) == 1
+        pin = harness.Leg(Resolution(6, 1), 0, (None,))
         for leg, x in zip(legs, together):
-            assert np.array_equal(x, harness._paths_block(cfg, 0, [leg])[0])
+            assert np.array_equal(x, harness._paths_block(cfg, 0, [pin, leg])[1])
 
 
 ODD_DRIFTS = [(0.0, 1.0, 0.0, -1.0), (0.0, 2.5, 0.0, -0.7)]
@@ -526,18 +618,21 @@ ODD_DRIFTS = [(0.0, 1.0, 0.0, -1.0), (0.0, 2.5, 0.0, -0.7)]
 @pytest.mark.parametrize("coeffs", ODD_DRIFTS)
 def test_odd_drift_negated_noise_negates_block(monkeypatch, n, coeffs):
     # f odd: negating the start and every noise load negates every path bit
-    # for bit, through the running sums (chunks of 4 rows, factors 8 to 32)
-    # and the shared work buffer
+    # for bit, through the running sums (chunks of 4 rows, factors 8 to 32),
+    # the restriction of the reference's loads to a leg at n = 7 (a gap of
+    # F = 8 at n = 63) and the shared work buffer
     h = (n + 1).bit_length() - 1
     cfg = dataclasses.replace(
         strong_cfg(samples=8), drift=DriftPolynomial(q=2, coeffs=coeffs),
         grid=(Resolution(3, h), Resolution(4, h), Resolution(5, h)),
         reference=Resolution(8, h))
     start = ((1, 2.0), (2, -0.7), (5, 0.3))
-    legs = [harness.Leg(r, 0, (start,)) for r in (*cfg.grid, cfg.reference)]
+    legs = [harness.Leg(r, 0, (start,))
+            for r in (*cfg.grid, cfg.reference, Resolution(8, 3))]
     negated = [leg._replace(starts=(tuple((j, -a) for j, a in start),)) for leg in legs]
-    monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 21 * n * 8)
-    assert noise.chunk_rows(2**8, n * 8, [(n * 8, f) for f in (32, 16, 8, 1)]) == 4
+    load_rows = [(n * 8, f) for f in (32, 16, 8, 1)] + [(7 * 8, 1)]
+    monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 21 * n * 8 + 2 * 4 * 7 * 8)
+    assert noise.chunk_rows(2**8, n * 8, load_rows) == 4
     plain = harness._paths_block(cfg, 0, legs)
     fill = noise.BlockSampler.fill
     monkeypatch.setattr(noise.BlockSampler, "fill",
