@@ -558,6 +558,17 @@ class TestPrefetchedChunks:
         fills = assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, 2**11)
         assert set(fills) == {8}
 
+    def test_restricted_leg_spans_chunks(self, monkeypatch, threads):
+        # a restricted load set at a factor above the chunk: in chunks of 8
+        # rows, factor 16 has one load every other chunk and none between,
+        # and the recorded leg at n = 3 restricts the n = 7 leg's load
+        cfg = strong_cfg(samples=8)
+        legs = [harness.Leg(Resolution(9, 3), 0, (None,)),
+                harness.Leg(Resolution(5, 3), 0, (None,)),
+                harness.Leg(Resolution(5, 2), 0, (None,), equilibrate_record(2))]
+        fills = assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, 2**11)
+        assert set(fills) == {8}
+
     def test_zero_noise_starts_no_thread(self, threads):
         cfg = dataclasses.replace(strong_cfg(samples=8), s=None)
         states = harness._paths_block(cfg, 0, strong_legs(cfg))
@@ -619,8 +630,8 @@ ODD_DRIFTS = [(0.0, 1.0, 0.0, -1.0), (0.0, 2.5, 0.0, -0.7)]
 def test_odd_drift_negated_noise_negates_block(monkeypatch, n, coeffs):
     # f odd: negating the start and every noise load negates every path bit
     # for bit, through the running sums (chunks of 4 rows, factors 8 to 32),
-    # the restriction of the reference's loads to a leg at n = 7 (a gap of
-    # F = 8 at n = 63) and the shared work buffer
+    # the restrictions to two legs at n = 7 (a gap of F = 8 at n = 63), one
+    # at factor 1 and one at factor 32, and the shared work buffer
     h = (n + 1).bit_length() - 1
     cfg = dataclasses.replace(
         strong_cfg(samples=8), drift=DriftPolynomial(q=2, coeffs=coeffs),
@@ -628,10 +639,10 @@ def test_odd_drift_negated_noise_negates_block(monkeypatch, n, coeffs):
         reference=Resolution(8, h))
     start = ((1, 2.0), (2, -0.7), (5, 0.3))
     legs = [harness.Leg(r, 0, (start,))
-            for r in (*cfg.grid, cfg.reference, Resolution(8, 3))]
+            for r in (*cfg.grid, cfg.reference, Resolution(8, 3), Resolution(3, 3))]
     negated = [leg._replace(starts=(tuple((j, -a) for j, a in start),)) for leg in legs]
-    load_rows = [(n * 8, f) for f in (32, 16, 8, 1)] + [(7 * 8, 1)]
-    monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 21 * n * 8 + 2 * 4 * 7 * 8)
+    load_rows = [(n * 8, f) for f in (32, 16, 8, 1)] + [(7 * 8, 1), (7 * 8, 32)]
+    monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 21 * n * 8 + 2 * 5 * 7 * 8)
     assert noise.chunk_rows(2**8, n * 8, load_rows) == 4
     plain = harness._paths_block(cfg, 0, legs)
     fill = noise.BlockSampler.fill
