@@ -501,11 +501,14 @@ def _run_legs(cfg, legs, per_sample):
 
 
 def _mean_se(a):
-    """Mean and standard error over the last (sample) axis; 0 error for one sample."""
+    """Mean and standard error over the last (sample) axis; 0 error for one
+    sample. A quantity equal in every sample gets that value and 0 error
+    exactly, which the rounded mean and std would miss."""
     n = a.shape[-1]
     mean = a.mean(axis=-1)
     se = a.std(axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
-    return mean, se
+    same = a.max(axis=-1) == a.min(axis=-1)
+    return np.where(same, a[..., 0], mean), np.where(same, 0.0, se)
 
 
 def _window_start(cfg):

@@ -686,6 +686,15 @@ class TestWeakStudy:
         assert rep.passed is None or rep.passed is False
 
 
+def test_mean_se_is_exact_for_a_constant_quantity():
+    a = np.array([[0.1, 0.1, 0.1], [0.1, 0.2, 0.4], [np.nan, np.nan, np.nan]])
+    mean, se = harness._mean_se(a)
+    assert mean[0] == 0.1 and se[0] == 0.0
+    # every other entry keeps the plain mean and standard error
+    assert mean[1] == a[1].mean() and se[1] == a[1].std(ddof=1) / math.sqrt(3)
+    assert np.isnan(mean[2]) and np.isnan(se[2])
+
+
 class TestFitReportHook:
     def test_flat_data_fails_window(self):
         cfg = strong_cfg()
@@ -764,6 +773,17 @@ class TestEquilibration:
             fem1d.TriFactor.solve = solve
         assert len(solves) == 2 ** cfg.grid[0].m
         assert set(solves) == {(2 ** cfg.grid[0].h_exp - 1, 3 * 8)}
+
+    def test_common_start_reports_its_exact_value(self):
+        # every path starts from the same state, so the t = 0 row is that
+        # state's observable with no standard error, not a rounded mean
+        cfg = equilibrate_cfg()
+        rep = harness.equilibration_study(cfg)
+        ops = fem1d.assemble_operators(harness._mesh_for(cfg, cfg.grid[0]))
+        for i, modes in enumerate(cfg.initials):
+            x0 = harness._initial_vector(cfg, ops, modes)
+            want = np.sin(np.pi / 4.0 - fem1d.l2_norm_sq_mass(ops, x0))
+            assert rep.means[i, 0] == want and rep.stderrs[i, 0] == 0.0
 
     def test_single_sample_flagged(self):
         cfg = dataclasses.replace(equilibrate_cfg(), samples=1)
