@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem1d
-from .drift import eval_f_tamed, validate_params
+from .drift import eval_f_tamed, taming_factor, validate_params
 from .errors import InvalidArgumentError, NumericalBlowupError
 from .fem1d import QUAD_R, QUAD_W, TriDiagSym, TriFactor
 # bound here only for benchmarks/tracing.py to wrap, until ROADMAP item 1
@@ -97,23 +97,15 @@ def drift_load(config, x):
 
 
 def _tame_quartic_root(u, c):
-    """u -> (1 + c u^8)^(1/4) in place, u^8 by repeated squaring (q = 2, alpha = 1/4)."""
+    """u -> (1 + c u^8)^(1/4) in place, u^8 by repeated squaring (q = 2,
+    alpha = 1/4); returns u."""
     u *= u
     u *= u
     u *= u
     u *= c
     u += 1.0
     np.sqrt(u, out=u)
-    np.sqrt(u, out=u)
-
-
-def _tame_general(u, c, alpha, expo):
-    """u -> (1 + c |u|^expo)^alpha in place: drift.taming_factor, operation for operation."""
-    np.abs(u, out=u)
-    u **= expo
-    u *= c
-    u += 1.0
-    u **= alpha
+    return np.sqrt(u, out=u)
 
 
 def _work_layout(n, width, drift):
@@ -165,7 +157,8 @@ class _Work:
         self.pad, self.rhs, self.tmp = arrays[:3]
         self.pad[[0, -1]] = 0.0
         if drift:
-            # u at the quad points, then the taming factor; f(u), then f_tamed(u)
+            # u at the quad points (the quartic root tames it in place); f(u),
+            # then f_tamed(u)
             self.vq, self.fq = arrays[3:]
 
 
@@ -214,15 +207,14 @@ class Stepper:
             self._weights = config.tau * ops.mesh.h * np.stack(
                 [QUAD_W * QUAD_R, QUAD_W * (1.0 - QUAD_R)])
             tp = config.taming
-            c = tp.beta1 * config.tau**tp.theta + tp.beta2 * ops.mesh.h**tp.rho
             # a partial, not a bound method: a reference cycle would keep
             # finished steppers alive until the garbage collector runs
             if config.drift.q == 2 and tp.alpha == 0.25:
+                c = tp.beta1 * config.tau**tp.theta + tp.beta2 * ops.mesh.h**tp.rho
                 self._tame = functools.partial(_tame_quartic_root, c=c)
             else:
-                self._tame = functools.partial(
-                    _tame_general, c=c, alpha=tp.alpha,
-                    expo=(2.0 * config.drift.q - 2.0) / tp.alpha)
+                self._tame = functools.partial(taming_factor, config.drift, tp,
+                                               config.tau, ops.mesh.h)
         self._m = 0
         self._warned = False
 
@@ -239,8 +231,7 @@ class Stepper:
                 fq *= vq
             if c is not None:
                 fq += c
-        self._tame(vq)
-        fq /= vq
+        fq /= self._tame(vq)
         # the (2, (n+1)B) element loads overwrite the first half of vq
         loads = vq.reshape(4, -1)[:2]
         np.matmul(self._weights, fq.reshape(4, -1), out=loads)

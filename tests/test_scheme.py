@@ -121,13 +121,13 @@ class TestFusedDriftKernel:
     # (drift, taming, the taming path the stepper must pick)
     CASES = {
         "cubic-quartic-root": (CUBIC, TAMING, "_tame_quartic_root"),
-        "quintic-general": (QUINTIC, TAMING, "_tame_general"),
-        "cubic-alpha-half-general": (CUBIC, SQRT_TAMING, "_tame_general"),
+        "quintic-general": (QUINTIC, TAMING, "taming_factor"),
+        "cubic-alpha-half-general": (CUBIC, SQRT_TAMING, "taming_factor"),
         # 0.0 coefficients, whose Horner additions the kernel skips; CUBIC
         # above is (0, 1, 0, -1)
         "pure-cubic": (PURE_CUBIC, TAMING, "_tame_quartic_root"),
-        "shifted-pure-cubic": (SHIFTED_CUBIC, SQRT_TAMING, "_tame_general"),
-        "quintic-zero-middle": (SPARSE_QUINTIC, TAMING, "_tame_general"),
+        "shifted-pure-cubic": (SHIFTED_CUBIC, SQRT_TAMING, "taming_factor"),
+        "quintic-zero-middle": (SPARSE_QUINTIC, TAMING, "taming_factor"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
