@@ -336,20 +336,15 @@ def _load_chunks(fill, sets, n_chunks):
     """Yield a stream's n_chunks consecutive load sets, fill(k, set) of each.
 
     fill(k, set) assembles chunk k into set and returns its loads of that
-    chunk. With two sets they take turns: while the caller steps on one,
-    one helper thread runs fill(k + 1, other) to draw, coarsen and
-    assemble the next chunk. The Philox draw, the inverse CDF, the sums
-    and the products release the GIL, so the two overlap; the helper
-    draws every stream in order, so each number is the one a serial run
-    gives. A yielded set stays valid until the next one is requested.
-    With one set (no noise: read-only zeros) fill runs inline and no
-    thread starts. Close the generator (contextlib.closing) to join the
-    helper when the caller stops early.
+    chunk. The two sets take turns: while the caller steps on one, one
+    helper thread runs fill(k + 1, other) to draw, coarsen and assemble
+    the next chunk. The Philox draw, the inverse CDF, the sums and the
+    products release the GIL, so the two overlap; the helper draws every
+    stream in order, so each number is the one a serial run gives. A
+    yielded set stays valid until the next one is requested. Close the
+    generator (contextlib.closing) to join the helper when the caller
+    stops early.
     """
-    if len(sets) == 1:
-        for k in range(n_chunks):
-            yield fill(k, sets[0])
-        return
     with ThreadPoolExecutor(max_workers=1) as helper:
         pending = helper.submit(fill, 0, sets[0])
         for k in range(n_chunks):
@@ -359,9 +354,34 @@ def _load_chunks(fill, sets, n_chunks):
             yield loads
 
 
-def _zero_loads(rows, k, out):
-    """Chunk k's loads of out, a read-only zero load set, as _fill_loads counts them."""
-    return {key: z[:_chunk_loads(rows, key[1], k)] for key, z in out.items()}
+def _stream_plan(steps, K, bs, distinct):
+    """The rows per chunk of a stream of steps (a power of two) fine rows,
+    and the shapes of every buffer the stream holds: the one place that
+    decides them, so _paths_block allocates exactly what is counted here.
+
+    distinct holds the stream's (h_exp, f) load-set keys in _fill_loads's
+    order. At r rows a chunk the buffers are the (r, K, bs) tape the
+    helper draws into; one running (K, bs) coarse sum for each distinct
+    factor f above r, whose groups span chunks; and two load sets that
+    take turns, each with max(r / f, 1) loads of (2^h_exp - 1, bs) per
+    key. r is the largest power of two, no larger than steps, whose
+    buffers fit noise.MAX_TAPE_FLOATS (read at call time), or one row when
+    none does: a single row is the only way past the budget. The count
+    never falls as r grows, so halving from steps finds it.
+
+    Returns (rows, tape, sums, sets): the tape's shape, the sums' shapes
+    by factor and the two sets' load shapes by key.
+    """
+    rows = steps
+    while True:
+        tape = (rows, K, bs)
+        sums = {f: (K, bs) for _, f in distinct if f > rows}
+        loads = {(h, f): (max(rows // f, 1), 2**h - 1, bs) for h, f in distinct}
+        sets = (loads, loads)
+        held = [tape, *sums.values()] + [shape for st in sets for shape in st.values()]
+        if rows == 1 or sum(map(math.prod, held)) <= noise.MAX_TAPE_FLOATS:
+            return rows, tape, sums, sets
+        rows //= 2
 
 
 def _map_blocks(cfg, fn, n_blocks):
@@ -406,26 +426,29 @@ def _paths_block(cfg, b, legs):
     """Run every leg on the samples of block b; one result per leg, in order.
 
     Each stream's tape is drawn at the finest m among its legs, in chunks
-    of noise.chunk_rows fine rows, and every leg on that stream steps
-    through each chunk in lockstep on an exact coarsening of it, so all
-    resolutions of one sample see the same driving path and no whole tape
-    is ever held. A helper thread turns the next chunk into noise loads
-    while the legs step the current one (_load_chunks): it draws the
-    chunk, coarsens it once per distinct factor and assembles one load
-    set per distinct (mesh, factor); every leg of that shape steps on the
-    set. Each factor costs one dense product, with the sine load matrix
-    of its finest mesh (built once per block, and only for such meshes);
-    its coarser meshes restrict that product one load set to the next
-    (_fill_loads). A factor larger than the chunk keeps a running (K, bs)
-    coarse sum across chunks, so its leg steps once at the end of each
-    of its groups and on nothing in the chunks between. The helper
-    touches no stepper.
+    of fine rows, and every leg on that stream steps through each chunk
+    in lockstep on an exact coarsening of it, so all resolutions of one
+    sample see the same driving path and no whole tape is ever held. A
+    helper thread turns the next chunk into noise loads while the legs
+    step the current one (_load_chunks): it draws the chunk, coarsens it
+    once per distinct factor and assembles one load set per distinct
+    (mesh, factor); every leg of that shape steps on the set. Each factor
+    costs one dense product, with the sine load matrix of its finest mesh
+    (built once per block, and only for such meshes); its coarser meshes
+    restrict that product one load set to the next (_fill_loads). A
+    factor f larger than the chunk keeps a running (K, bs) coarse sum
+    across chunks, so its leg steps once at the end of each of its groups
+    and on nothing in the chunks between; before chunk k of r rows a leg
+    has taken k r // f steps. The helper touches no stepper.
 
-    The stream's memory is decided before its first step: the tape
-    buffer, both load sets and the running sums hold exactly
-    noise.stream_floats, within noise.MAX_TAPE_FLOATS unless a single
-    fine row alone exceeds it. The legs step in one 64-byte-aligned work
-    buffer (scheme.work_buffer), sized for the block's largest leg.
+    The stream's memory is decided before its first step: _stream_plan
+    picks the rows per chunk and the shapes of the tape buffer, the
+    running sums and both load sets, within noise.MAX_TAPE_FLOATS unless
+    a single fine row alone exceeds it, and the stream allocates exactly
+    those. A block without noise has no stream: each leg steps its whole
+    run once on read-only zero loads, and no thread starts. The legs step
+    in one 64-byte-aligned work buffer (scheme.work_buffer), sized for the
+    block's largest leg.
 
     A leg's starts are the column groups of one stepper: its (n, S)
     initial state, one column per start, steps as an (n, S bs) state on
@@ -435,7 +458,6 @@ def _paths_block(cfg, b, legs):
     columns [i bs, (i+1) bs).
     """
     model = noise_model_for(cfg)
-    K = 1 if model is None else model.K
     idx = list(_block_range(cfg, b))
     bs = len(idx)
     ops, steppers, records = {}, [], {}
@@ -449,45 +471,47 @@ def _paths_block(cfg, b, legs):
         steppers.append(scheme.Stepper(sc, bs))
         if leg.record is not None:
             records[i] = [leg.record[1](o, steppers[i].x)]
+    work = scheme.work_buffer(steppers)
+
+    def step(i, loads, done):
+        """Leg i steps on loads, done steps into its run."""
+        if i in records:
+            _step_recorded(steppers[i], loads, work, done, legs[i].record,
+                           ops[legs[i].res.h_exp], records[i])
+        else:
+            steppers[i].step_loads(loads, work)
+
+    if model is None:
+        # no noise, no stream: each leg steps its whole run once on zero loads
+        for i, leg in enumerate(legs):
+            step(i, np.broadcast_to(0.0, (2**leg.res.m, 2**leg.res.h_exp - 1, bs)), 0)
+    streams = () if model is None else dict.fromkeys(leg.stream for leg in legs)
     loadmats = {}
     meshes = {h: o.mesh for h, o in ops.items()}
-    work = scheme.work_buffer(steppers)
-    for stream in dict.fromkeys(leg.stream for leg in legs):
+    for stream in streams:
         m = max(leg.res.m for leg in legs if leg.stream == stream)
         # leg i steps on the load set of its (mesh, coarsening factor)
         keys = {i: (leg.res.h_exp, 2 ** (m - leg.res.m))
                 for i, leg in enumerate(legs) if leg.stream == stream}
         # each factor's load sets finest mesh first, as _fill_loads assembles them
         distinct = sorted(set(keys.values()), key=lambda key: (key[1], -key[0]))
-        rows = noise.chunk_rows(2**m, K * bs, [((2**h - 1) * bs, f) for h, f in distinct])
-        shapes = {(h, f): (max(rows // f, 1), 2**h - 1, bs) for h, f in distinct}
-        if model is None:
-            fill = functools.partial(_zero_loads, rows)
-            sets = [{key: np.broadcast_to(0.0, shape) for key, shape in shapes.items()}]
-        else:
-            sampler = noise.BlockSampler(
-                model, cfg.seed, cfg.T / 2**m,
-                [noise.stream_context(stream, sidx) for sidx in idx])
-            sums = {f: np.empty((K, bs)) for _, f in distinct if f > rows}
-            # one product per factor, on its finest mesh
-            for h in {max(h for h, g in distinct if g == f) for _, f in distinct}:
-                if h not in loadmats:
-                    loadmats[h] = fem1d.sine_load_matrix(meshes[h], K)
-            fill = functools.partial(_fill_loads, sampler, np.empty((rows, K, bs)),
-                                     sums, loadmats, meshes, b == 0)
-            sets = [{key: np.empty(shape) for key, shape in shapes.items()}
-                    for _ in range(2)]
-        taken = dict.fromkeys(keys, 0)     # the steps leg i has taken
-        chunks = _load_chunks(fill, sets, 2**m // rows)
+        rows, tape, sums, sets = _stream_plan(2**m, model.K, bs, distinct)
+        sampler = noise.BlockSampler(
+            model, cfg.seed, cfg.T / 2**m,
+            [noise.stream_context(stream, sidx) for sidx in idx])
+        # one product per factor, on its finest mesh
+        for h in {max(h for h, g in distinct if g == f) for _, f in distinct}:
+            if h not in loadmats:
+                loadmats[h] = fem1d.sine_load_matrix(meshes[h], model.K)
+        fill = functools.partial(_fill_loads, sampler, np.empty(tape),
+                                 {f: np.empty(shape) for f, shape in sums.items()},
+                                 loadmats, meshes, b == 0)
+        chunks = _load_chunks(fill, [{key: np.empty(shape) for key, shape in st.items()}
+                                     for st in sets], 2**m // rows)
         with contextlib.closing(chunks):
-            for loads in chunks:
+            for k, loads in enumerate(chunks):
                 for i, key in keys.items():
-                    if i in records:
-                        _step_recorded(steppers[i], loads[key], work, taken[i],
-                                       legs[i].record, ops[key[0]], records[i])
-                    else:
-                        steppers[i].step_loads(loads[key], work)
-                    taken[i] += len(loads[key])
+                    step(i, loads[key], k * rows // key[1])
     return [np.array(records[i]) if i in records else stepper.finish().x
             for i, stepper in enumerate(steppers)]
 

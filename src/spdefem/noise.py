@@ -10,7 +10,8 @@ pure function of the key and its position in the stream. Tapes sampled
 at the finest dyadic resolution can be coarsened by exact summation,
 which is what couples resolutions in strong-error studies. A block's
 tapes may be drawn whole or a chunk of rows at a time (BlockSampler); the
-rows are the same bit for bit either way.
+rows are the same bit for bit either way. How many rows a chunk holds is
+the block driver's choice, within MAX_TAPE_FLOATS.
 """
 
 import math
@@ -23,11 +24,9 @@ from .errors import CapacityError, InvalidArgumentError
 
 SAMPLER_IDENTITY = "philox4x64-10/inverse-cdf"
 
-# floats held at once for a block's stream (8 MiB): one whole tape, or, in
-# the block driver, the chunk buffer, both noise load sets (the one being
-# stepped, the one being filled) and one running coarse sum per factor
-# larger than the chunk, counted exactly by stream_floats. Only a stream
-# whose single row exceeds it goes past it.
+# floats a block's stream may hold at once (8 MiB): the most that
+# sample_tape_coeffs draws as one tape, and the budget within which the
+# block driver plans its chunked streams
 MAX_TAPE_FLOATS = 2**20
 
 
@@ -124,35 +123,6 @@ class BlockSampler:
         _inverse_cdf(out)
         out *= self._scales
         return out
-
-
-def stream_floats(rows, row_floats, load_rows):
-    """Floats a block's stream holds at chunks of rows fine rows.
-
-    row_floats is a fine tape row (K B floats), load_rows the
-    (floats per load, coarsening factor f) of each distinct load set,
-    (n B, f) for a mesh of n interior nodes. The count is exact: rows
-    tape rows; max(rows / f, 1) loads in each of the two sets that take
-    turns, for each load set; and one running (K, B) coarse sum for each
-    distinct factor larger than rows, whose groups span chunks.
-    """
-    sums = len({f for _, f in load_rows if f > rows})
-    return ((rows + sums) * row_floats
-            + 2 * sum(max(rows // f, 1) * w for w, f in load_rows))
-
-
-def chunk_rows(steps, row_floats, load_rows):
-    """Fine rows per chunk of a block's stream of steps (a power of two) rows.
-
-    The largest power of two, no larger than steps, whose stream_floats
-    fits MAX_TAPE_FLOATS, or one row when none does: a single row is the
-    only way past the budget. The count never falls as rows grow, so
-    halving from steps finds it.
-    """
-    rows = steps
-    while rows > 1 and stream_floats(rows, row_floats, load_rows) > MAX_TAPE_FLOATS:
-        rows //= 2
-    return rows
 
 
 # unused by the package: benchmarks/tracing.py wraps it until ROADMAP item 1

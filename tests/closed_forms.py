@@ -115,6 +115,45 @@ def drift_free_strong_space_msq(cfg):
     return np.array(out)
 
 
+def drift_free_strong_time_msq(cfg):
+    """E ||X_ref - X_g||_M^2 at the final time per grid entry, for the
+    drift-free scheme from zero data on a grid of steps at the reference's
+    mesh.
+
+    The reference takes N_f steps of tau_f; an entry takes N_c of
+    f tau_f, and its step i adds the f fine increments dW^k of its group,
+    k in ((i - 1) f, i f]. In the coordinates y = E^T M x each step is
+    y <- R (y + G dW), as in drift_free_weak_value, so the difference of
+    the final states is sum_k diag(a_k) G dW^k with
+
+        a_jk = r_f,j^(N_f - k + 1) - r_c,j^(N_c - ceil(k / f) + 1),
+
+    and, the modes being M-orthonormal,
+
+        E ||X_ref - X_g||_M^2 = tau_f sum_j (G Q G^T)_jj sum_k a_jk^2.
+    """
+    if cfg.drift is not None or cfg.initial_modes is not None:
+        raise ValueError("closed form covers the drift-free scheme from zero data")
+    ref = cfg.reference
+    if any(r.h_exp != ref.h_exp for r in cfg.grid):
+        raise ValueError("closed form covers a grid of steps on one mesh")
+    model = harness.noise_model_for(cfg)
+    n = 2**ref.h_exp - 1
+    lam, modes = dense_eigenpairs(cfg.L, n)
+    G = modes.T @ dense_sine_loads(cfg.L, n, model.K)
+    gqg = G**2 @ noise.coefficient_scales(model) ** 2
+    tau_f, n_f = harness._tau_for(cfg, ref), 2**ref.m
+    k = np.arange(1, n_f + 1)
+    r_f = 1.0 / (1.0 + tau_f * lam[:, None])
+    out = []
+    for res in cfg.grid:
+        f, n_c = 2 ** (ref.m - res.m), 2**res.m
+        r_c = 1.0 / (1.0 + harness._tau_for(cfg, res) * lam[:, None])
+        a = r_f ** (n_f - k + 1) - r_c ** (n_c - -(-k // f) + 1)
+        out.append(tau_f * gqg @ np.sum(a**2, axis=1))
+    return np.array(out)
+
+
 def semidiscrete_smoothing_error(ops, t, v):
     """Time-free spatial error ||E_h(t) P_h v - E(t) v||_{L2} at time t.
 

@@ -15,7 +15,7 @@ from spdefem.drift import DriftPolynomial, TamingParams
 from spdefem.errors import CapacityError, InvalidArgumentError, NumericalBlowupError
 from spdefem.harness import Resolution, StudyConfig
 
-from closed_forms import drift_free_strong_space_msq
+from closed_forms import drift_free_strong_space_msq, drift_free_strong_time_msq
 from stepping import recorded_run
 
 CUBIC = DriftPolynomial(q=2, coeffs=(0.0, 1.0, 0.0, -1.0))
@@ -186,6 +186,26 @@ class TestStrongStudy:
         z = (mean2 - drift_free_strong_space_msq(cfg)) / se_mean2
         assert np.all(np.abs(z) <= 4.0), z
 
+    @pytest.mark.parametrize("s", [0.5005, 0.0])
+    def test_drift_free_time_errors_match_exact_law(self, s, monkeypatch):
+        # sampler, coupling, product and reduction together: the mean
+        # squares of tau = 2^-3..2^-5 against 2^-9 at n = 15 lie within 4
+        # standard errors of their exact values (seed fixed before any run).
+        # Chunks of 16 rows, so factors 32 and 64 step on running sums
+        cfg = StudyConfig(
+            kind="strong_rate", L=1.0, drift=None, taming=None,
+            initial_modes=None, s=s, K=None,
+            grid=(Resolution(3, 4), Resolution(4, 4), Resolution(5, 4)),
+            reference=Resolution(9, 4), T=1.0, samples=1024, seed=21)
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**16)
+        distinct = [(4, 64), (4, 32), (4, 16), (4, 1)]
+        assert harness._stream_plan(2**9, 15, 64, distinct)[0] == 16
+        rep = harness.strong_rate_study(cfg)
+        mean2 = rep.errors**2
+        se_mean2 = 2.0 * rep.errors * rep.stderrs
+        z = (mean2 - drift_free_strong_time_msq(cfg)) / se_mean2
+        assert np.all(np.abs(z) <= 4.0), z
+
     def test_stderr_shrinks_like_root_n(self):
         e1 = harness.strong_rate_study(strong_cfg(samples=64)).stderrs
         e2 = harness.strong_rate_study(strong_cfg(samples=256)).stderrs
@@ -245,11 +265,12 @@ class TestStreamedTapes:
             grid=(Resolution(6, 5), Resolution(6, 6), Resolution(6, 7)),
             reference=Resolution(6, 8), T=0.5, samples=64, seed=1)
         legs = [harness.Leg(r, 0, (None,)) for r in (*cfg.grid, cfg.reference)]
-        load_rows = [((2**h - 1) * 64, 1) for h in (5, 6, 7, 8)]
-        rows = noise.chunk_rows(2**6, 255 * 64, load_rows)
-        assert rows == 32
-        held = (noise.stream_floats(rows, 255 * 64, load_rows) + 255 * 255
-                + scheme._work_layout(255, 64, False)[1])
+        rows, tape, sums, sets = harness._stream_plan(2**6, 255, 64,
+                                                      [(h, 1) for h in (8, 7, 6, 5)])
+        assert rows == 32 and not sums
+        stream = math.prod(tape) + sum(math.prod(shape) for st in sets
+                                       for shape in st.values())
+        held = stream + 255 * 255 + scheme._work_layout(255, 64, False)[1]
         tracemalloc.start()
         try:
             harness._paths_block(cfg, 0, legs)
@@ -569,6 +590,38 @@ class TestPrefetchedChunks:
         fills = assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, 2**11)
         assert set(fills) == {8}
 
+    def test_fill_gets_exactly_the_planned_buffers(self, monkeypatch):
+        # _fill_loads fills the tape, the running sums and the two load sets
+        # of the shapes _stream_plan counted, and no others: in chunks of 8
+        # rows, factors 16 and 32 keep running sums
+        plans, filled = [], []
+        stream_plan, fill_loads = harness._stream_plan, harness._fill_loads
+
+        def planned(*args):
+            plans.append(stream_plan(*args))
+            return plans[-1]
+
+        def seen(sampler, tape, sums, *rest):
+            filled.append((tape, sums, rest[-1]))
+            return fill_loads(sampler, tape, sums, *rest)
+
+        monkeypatch.setattr(harness, "_stream_plan", planned)
+        monkeypatch.setattr(harness, "_fill_loads", seen)
+        cfg = strong_cfg(samples=1)
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**8)
+        harness._paths_block(cfg, 0, strong_legs(cfg))
+        (rows, tape, sums, sets), = plans
+        assert rows == 8 and set(sums) == {16, 32} and len(filled) == 2**9 // rows
+        tapes, running, outs = zip(*filled)
+        # one tape buffer and one sum per factor throughout, two load sets in turn
+        assert all(t is tapes[0] for t in tapes) and tapes[0].shape == tape
+        assert all(r is running[0] for r in running)
+        assert {f: a.shape for f, a in running[0].items()} == sums
+        assert outs[0] is not outs[1]
+        for k, out in enumerate(outs):
+            assert out is outs[k % 2]
+            assert {key: a.shape for key, a in out.items()} == sets[k % 2]
+
     def test_zero_noise_starts_no_thread(self, threads):
         cfg = dataclasses.replace(strong_cfg(samples=8), s=None)
         states = harness._paths_block(cfg, 0, strong_legs(cfg))
@@ -641,9 +694,9 @@ def test_odd_drift_negated_noise_negates_block(monkeypatch, n, coeffs):
     legs = [harness.Leg(r, 0, (start,))
             for r in (*cfg.grid, cfg.reference, Resolution(8, 3), Resolution(3, 3))]
     negated = [leg._replace(starts=(tuple((j, -a) for j, a in start),)) for leg in legs]
-    load_rows = [(n * 8, f) for f in (32, 16, 8, 1)] + [(7 * 8, 1), (7 * 8, 32)]
+    distinct = dict.fromkeys([(h, f) for f in (32, 16, 8, 1)] + [(3, 1), (3, 32)])
     monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 21 * n * 8 + 2 * 5 * 7 * 8)
-    assert noise.chunk_rows(2**8, n * 8, load_rows) == 4
+    assert harness._stream_plan(2**8, n, 8, list(distinct))[0] == 4
     plain = harness._paths_block(cfg, 0, legs)
     fill = noise.BlockSampler.fill
     monkeypatch.setattr(noise.BlockSampler, "fill",

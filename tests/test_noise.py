@@ -1,6 +1,7 @@
 """Spectral noise sampling, path tapes, coarsening, stream book-keeping."""
 
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -174,15 +175,15 @@ class TestChunkedTapes:
 
     def test_chunk_rows_policy(self, monkeypatch):
         # 2**20 floats of a 63-mode, 64-sample block: 256 rows of 4032 floats
-        assert noise.chunk_rows(4096, 63 * 64, []) == 256
+        assert harness._stream_plan(4096, 63, 64, [])[0] == 256
         # a factor above the chunk costs one load a set and one running sum,
         # 259 x 4032 floats at 256 rows; it never forces a larger chunk
-        assert noise.stream_floats(256, 63 * 64, [(63 * 64, 1024)]) == 259 * 63 * 64
-        assert noise.chunk_rows(4096, 63 * 64, [(63 * 64, 1024)]) == 256
-        # never more rows than the tape has
-        assert noise.chunk_rows(64, 10, [(10, 1)]) == 64
-        # a row larger than the budget still gets a chunk of one row
-        assert noise.chunk_rows(8, 2**21, []) == 1
+        plan = harness._stream_plan(4096, 63, 64, [(6, 1024)])
+        assert (plan[0], plan_floats(plan)) == (256, 259 * 63 * 64)
+        # never more rows than the tape has (rows of 10 floats, loads of 10)
+        assert harness._stream_plan(64, 1, 10, [(1, 1)])[0] == 64
+        # a row larger than the budget (2**21 floats) still gets a chunk of one row
+        assert harness._stream_plan(8, 2**15, 64, [])[0] == 1
         # _paths_block's budget holds the tape buffer, both load sets and
         # the running sums
         assert block_chunk_rows(monkeypatch, [(8, h) for h in range(5, 10)]) == 4
@@ -195,6 +196,14 @@ class TestChunkedTapes:
 
 class _Sized(Exception):
     pass
+
+
+def plan_floats(plan):
+    """The floats of a harness._stream_plan's buffers: the tape, the running
+    sums and both load sets."""
+    _, tape, sums, sets = plan
+    shapes = [tape, *sums.values()] + [shape for st in sets for shape in st.values()]
+    return sum(math.prod(shape) for shape in shapes)
 
 
 def ladder(resolutions):
@@ -211,20 +220,19 @@ def ladder(resolutions):
 
 def block_plan(monkeypatch, cfg, legs, b=0):
     """The rows per chunk that block b of cfg picks for its first stream,
-    and that stream's noise.stream_floats. The block stops once the rows
-    are chosen."""
-    picked = []
-    chosen = noise.chunk_rows
+    and the floats of that stream's planned buffers. The block stops once
+    the plan is made."""
+    plans = []
+    stream_plan = harness._stream_plan
 
     def spy(*args):
-        picked.append((chosen(*args), args))
+        plans.append(stream_plan(*args))
         raise _Sized
 
     with monkeypatch.context() as patch, pytest.raises(_Sized):
-        patch.setattr(noise, "chunk_rows", spy)
+        patch.setattr(harness, "_stream_plan", spy)
         harness._paths_block(cfg, b, legs)
-    rows, (_, *plan) = picked[0]
-    return rows, noise.stream_floats(rows, *plan)
+    return plans[0][0], plan_floats(plans[0])
 
 
 def block_chunk_rows(monkeypatch, resolutions):
