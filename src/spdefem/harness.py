@@ -274,51 +274,60 @@ def _chunk_loads(rows, f, k):
     return (k + 1) * rows // f - k * rows // f
 
 
-def _coarsen_chunk(tape, f, k, acc):
-    """Chunk k's coarse rows of factor f, bit for bit those of
-    noise.coarsen_coeffs on the whole tape.
+def _coarsen_chunk(tape, rows, f, k, acc):
+    """Chunk k's coarse rows of factor f as (loads, K, bs), bit for bit
+    those of noise.coarsen_coeffs on the whole (steps, K, bs) tape.
 
-    A factor up to the chunk's rows sums the chunk's groups at once. A
-    larger one adds the chunk's rows, one at a time and in row order, to
-    acc, its running (K, B) sum across chunks, copying a group's first row
-    as the reshape-sum does, so the sum is the same; at the group's end it
-    is the chunk's one coarse row.
+    tape is the stream's (bs, spare + rows, K) buffer: the chunk's rows of
+    stream b in tape[b, spare:], after one spare leading row when a
+    factor exceeds the chunk. A factor up to rows goes through
+    coarsen_coeffs on the chunk's transposed view (factor 1 is that view).
+    A larger one reduces the chunk's rows into acc, its running (bs, K)
+    sum across chunks, in one sum along the rows; a chunk that continues a
+    group copies acc into the spare row first, so the sum starts from it.
+    With K > 1 the rows are not the innermost axis, so numpy reduces them
+    row after row: this is the sum of adding the rows one at a time, as
+    the reshape-sum does. At the group's end acc is the chunk's one
+    coarse row.
     """
-    rows = len(tape)
+    chunk = tape[:, -rows:]
     if f <= rows:
-        return noise.coarsen_coeffs(tape, f)
-    start = 0
-    if k * rows % f == 0:           # chunk k opens a group
-        acc[...] = tape[0]
-        start = 1
-    for row in tape[start:]:
-        acc += row
-    return acc[None][:_chunk_loads(rows, f, k)]
+        return noise.coarsen_coeffs(chunk.transpose(1, 2, 0), f)
+    if k * rows % f:                # chunk k continues a group
+        tape[:, 0] = acc
+        chunk = tape
+    np.sum(chunk, axis=1, out=acc)
+    return acc.T[None][:_chunk_loads(rows, f, k)]
 
 
 def _fill_loads(sampler, tape, sums, loadmats, meshes, check_coupling, k, out):
     """Assemble chunk k's noise loads into out, a load set, and return its
     loads of this chunk, out[(h_exp, f)][:_chunk_loads(rows, f, k)].
 
-    Draws the chunk into tape and coarsens it once per distinct factor f
-    (_coarsen_chunk, with sums[f] the running sum of a factor above the
-    chunk's rows; only this thread touches it, as the legs step on the
-    load sets). The load sets of one factor come in out finest mesh
-    first. The first gets one stacked product of loadmats[h_exp], the
-    sine load matrix of its mesh, and the chunk's coarse rows. Each later
-    one restricts the one before it (fem1d.restrict on meshes[h_exp],
-    along the node axis, in its own buffer): a coarse hat is a
-    combination of fine ones, so its loads are the finer loads restricted.
+    Draws the chunk into tape, stream-major (bs, rows, K) after a spare
+    leading row when sums is not empty, and coarsens it once per distinct
+    factor f (_coarsen_chunk, with sums[f] the running (bs, K) sum of a
+    factor above the chunk's rows; only this thread touches it, as the
+    legs step on the load sets). The load sets of one factor come in out
+    finest mesh first. The first gets one stacked product of
+    loadmats[h_exp], the sine load matrix of its mesh, and the chunk's
+    (loads, K, bs) coarse rows, a transposed view that BLAS reads as a
+    transposed operand, with no copy. Each later one restricts the one
+    before it (fem1d.restrict on meshes[h_exp], along the node axis, in
+    its own buffer): a coarse hat is a combination of fine ones, so its
+    loads are the finer loads restricted.
     """
-    sampler.fill(tape)
-    coarse = {f: _coarsen_chunk(tape, f, k, sums.get(f))
+    chunk = tape[:, 1:] if sums else tape
+    rows = chunk.shape[1]
+    sampler.fill(chunk)
+    coarse = {f: _coarsen_chunk(tape, rows, f, k, sums.get(f))
               for f in dict.fromkeys(f for _, f in out)}
     if check_coupling and k == 0:
         # re-assert the coupling invariant where a first group fits in the
         # chunk: children sum to parents
         for f, c in coarse.items():
-            if f <= len(tape):
-                assert np.array_equal(c[0], tape[:f].sum(axis=0))
+            if f <= rows:
+                assert np.array_equal(c[0], chunk[:, :f].sum(axis=1).T)
     loads, finer = {}, {}
     for (h, f), buf in out.items():
         loads[(h, f)] = dest = buf[:len(coarse[f])]
@@ -360,8 +369,9 @@ def _stream_plan(steps, K, bs, distinct):
     decides them, so _paths_block allocates exactly what is counted here.
 
     distinct holds the stream's (h_exp, f) load-set keys in _fill_loads's
-    order. At r rows a chunk the buffers are the (r, K, bs) tape the
-    helper draws into; one running (K, bs) coarse sum for each distinct
+    order. At r rows a chunk the buffers are the stream-major (bs, r, K)
+    tape the helper draws into, with one spare leading row when some
+    factor exceeds r; one running (bs, K) coarse sum for each distinct
     factor f above r, whose groups span chunks; and two load sets that
     take turns, each with max(r / f, 1) loads of (2^h_exp - 1, bs) per
     key. r is the largest power of two, no larger than steps, whose
@@ -374,8 +384,8 @@ def _stream_plan(steps, K, bs, distinct):
     """
     rows = steps
     while True:
-        tape = (rows, K, bs)
-        sums = {f: (K, bs) for _, f in distinct if f > rows}
+        sums = {f: (bs, K) for _, f in distinct if f > rows}
+        tape = (bs, rows + 1 if sums else rows, K)
         loads = {(h, f): (max(rows // f, 1), 2**h - 1, bs) for h, f in distinct}
         sets = (loads, loads)
         held = [tape, *sums.values()] + [shape for st in sets for shape in st.values()]
@@ -436,7 +446,7 @@ def _paths_block(cfg, b, legs):
     costs one dense product, with the sine load matrix of its finest mesh
     (built once per block, and only for such meshes); its coarser meshes
     restrict that product one load set to the next (_fill_loads). A
-    factor f larger than the chunk keeps a running (K, bs) coarse sum
+    factor f larger than the chunk keeps a running (bs, K) coarse sum
     across chunks, so its leg steps once at the end of each of its groups
     and on nothing in the chunks between; before chunk k of r rows a leg
     has taken k r // f steps. The helper touches no stepper.

@@ -9,9 +9,10 @@ Randomness is counter based: a Philox generator keyed by
 pure function of the key and its position in the stream. Tapes sampled
 at the finest dyadic resolution can be coarsened by exact summation,
 which is what couples resolutions in strong-error studies. A block's
-tapes may be drawn whole or a chunk of rows at a time (BlockSampler); the
-rows are the same bit for bit either way. How many rows a chunk holds is
-the block driver's choice, within MAX_TAPE_FLOATS.
+tapes may be drawn whole or a chunk of rows at a time (BlockSampler), into
+a stream-major (B, rows, K) buffer; the rows are the same bit for bit
+either way. How many rows a chunk holds is the block driver's choice,
+within MAX_TAPE_FLOATS.
 """
 
 import math
@@ -37,22 +38,23 @@ def stream_context(stream_id, sample_index):
     return (int(stream_id) << 32) | int(sample_index)
 
 
-def _philox(master_seed, context):
-    return np.random.Philox(key=np.array([int(master_seed), int(context)],
-                                         dtype=np.uint64))
+def _generator(master_seed, context):
+    philox = np.random.Philox(key=np.array([int(master_seed), int(context)],
+                                           dtype=np.uint64))
+    return np.random.Generator(philox)
 
 
-def _shift_raw(bitgen, out):
-    """Fill out (float64) with the top 53 bits of the next out.size raw words."""
-    raw = bitgen.random_raw(out.size).reshape(out.shape)
-    return np.right_shift(raw, 11, out=out, casting="unsafe")
+def _inverse_cdf(u):
+    """Uniforms k 2^-53 (Generator.random: the top 53 bits k of one raw
+    word each) -> standard normals, in place.
 
-
-def _inverse_cdf(u53):
-    """53-bit integers held as floats -> standard normals, in place."""
-    u53 += 0.5
-    u53 *= 2.0**-53
-    return ndtri(u53, out=u53)
+    Each is moved to the middle of its cell, (k + 1/2) 2^-53 rounded, and
+    capped below 1: the top word, k = 2^53 - 1, rounds to 1.0, which the
+    inverse CDF would turn into +inf, so it maps to 1 - 2^-53 instead.
+    """
+    u += 2.0**-54
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
+    return ndtri(u, out=u)
 
 
 class RngStream:
@@ -63,10 +65,10 @@ class RngStream:
     """
 
     def __init__(self, master_seed, context=0):
-        self._bitgen = _philox(master_seed, context)
+        self._gen = _generator(master_seed, context)
 
     def normals(self, n):
-        return _inverse_cdf(_shift_raw(self._bitgen, np.empty(int(n))))
+        return _inverse_cdf(self._gen.random(int(n)))
 
 
 @dataclass(frozen=True)
@@ -104,22 +106,24 @@ def coefficient_scales(model):
 class BlockSampler:
     """The tapes of a block's samples, one Philox stream each, drawn a chunk at a time.
 
-    fill(out) writes the next rows of stream b into column b of a
-    (rows, K, B) chunk: one raw draw and one shift per stream, then the
+    fill(out) writes the next rows of stream b into out[b] of a
+    stream-major (B, rows, K) chunk: one Generator.random call per stream,
+    straight into its contiguous rows (it releases the GIL), then the
     inverse CDF and the per-mode scale once over the whole chunk. These
-    are the elementwise operations of RngStream.normals followed by the
-    scale, and each stream is consumed in order, so consecutive chunks
-    concatenate to the whole tapes bit for bit.
+    are the operations of RngStream.normals followed by the scale, and
+    each stream is consumed in order, so consecutive chunks concatenate to
+    the whole tapes bit for bit.
     """
 
     def __init__(self, model, master_seed, tau, contexts):
-        self._bitgens = [_philox(master_seed, ctx) for ctx in contexts]
-        self._scales = (np.sqrt(tau) * coefficient_scales(model))[:, None]
+        self._gens = [_generator(master_seed, ctx) for ctx in contexts]
+        self._scales = np.sqrt(tau) * coefficient_scales(model)
 
     def fill(self, out):
-        """Overwrite out, shape (rows, K, B), with the next rows; returns out."""
-        for col, bitgen in enumerate(self._bitgens):
-            _shift_raw(bitgen, out[:, :, col])
+        """Overwrite out, shape (B, rows, K), each out[b] C-contiguous, with
+        the next rows; returns out."""
+        for gen, rows in zip(self._gens, out, strict=True):
+            gen.random(out=rows)
         _inverse_cdf(out)
         out *= self._scales
         return out
@@ -137,8 +141,8 @@ def sample_tape_coeffs(model, master_seed, T, finest_steps, context=0):
         raise CapacityError(
             f"tape of {steps} x {model.K} coefficients exceeds the memory budget"
         )
-    tape = np.empty((steps, model.K, 1))
-    return BlockSampler(model, master_seed, T / steps, [context]).fill(tape)[:, :, 0]
+    tape = np.empty((1, steps, model.K))
+    return BlockSampler(model, master_seed, T / steps, [context]).fill(tape)[0]
 
 
 def coarsen_coeffs(coeffs, factor):

@@ -194,9 +194,13 @@ class Stepper:
         self._x = x.reshape(n, -1).copy()     # the state, one column per path
         self.x = self._x[:, 0] if x.ndim == 1 else self._x    # a view, 1-D for a 1-D start
         M = ops.mass
-        # M x = main x + lo (x shifted down) + hi (x shifted up), on the padded state
-        self._mass = (M.main[:, None], np.r_[0.0, M.off][:, None],
-                      np.r_[M.off, 0.0][:, None])
+        # a uniform mesh's M has constant diagonals: M x = main x + off (x
+        # shifted down) + off (x shifted up) on the padded state, whose
+        # zero boundary rows stand in for the missing neighbours
+        main, off = M.main[0], (M.off[0] if len(M.off) else 0.0)
+        if np.any(M.main != main) or np.any(M.off != off):
+            raise InvalidArgumentError("the stepper needs a mass matrix with constant diagonals")
+        self._mass = (main, off)
         if config.drift is not None:
             # Horner's coefficients below the leading one, highest first; a
             # 0.0 is None, its addition skipped (it can only turn -0.0 to 0.0)
@@ -243,15 +247,15 @@ class Stepper:
         # load (n, B) is only read: one load set may drive several legs
         config, x, pad, rhs, tmp = self.config, self._x, w.pad, w.rhs, w.tmp
         pad[1:-1] = x
-        main, lo, hi = self._mass
+        main, off = self._mass
         # M x first and the load added to it: addition commutes bit for bit.
         # Each group of load.shape[1] columns adds the same load.
         np.multiply(x, main, out=rhs)
         groups = rhs.reshape(len(rhs), -1, load.shape[1])
         groups += load[:, None]
-        np.multiply(pad[:-2], lo, out=tmp)
+        np.multiply(pad[:-2], off, out=tmp)
         rhs += tmp
-        np.multiply(pad[2:], hi, out=tmp)
+        np.multiply(pad[2:], off, out=tmp)
         rhs += tmp
         if config.drift is not None:
             rhs += self._drift_from_pad(w)

@@ -47,7 +47,7 @@ def drift_free_weak_value(cfg, res):
     ops = fem1d.assemble_operators(harness._mesh_for(cfg, res))
     tau = harness._tau_for(cfg, res)
     lam, modes = dense_eigenpairs(ops.mesh.L, ops.mesh.n_interior)
-    G = modes.T @ fem1d.sine_load_matrix(ops.mesh, model.K)
+    G = modes.T @ dense_sine_loads(ops.mesh.L, ops.mesh.n_interior, model.K)
     q = noise.coefficient_scales(model) ** 2
     r = 1.0 / (1.0 + tau * lam)
     rho = np.outer(r, r)

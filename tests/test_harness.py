@@ -15,7 +15,8 @@ from spdefem.drift import DriftPolynomial, TamingParams
 from spdefem.errors import CapacityError, InvalidArgumentError, NumericalBlowupError
 from spdefem.harness import Resolution, StudyConfig
 
-from closed_forms import drift_free_strong_space_msq, drift_free_strong_time_msq
+from closed_forms import (drift_free_strong_space_msq, drift_free_strong_time_msq,
+                          drift_free_weak_errors, drift_free_weak_value)
 from stepping import recorded_run
 
 CUBIC = DriftPolynomial(q=2, coeffs=(0.0, 1.0, 0.0, -1.0))
@@ -338,12 +339,13 @@ def equilibrate_record(stride):
 
 
 def fill_hook(monkeypatch, on_call):
-    """Wrap BlockSampler.fill so that on_call(count, out) sees every filled chunk."""
+    """Wrap BlockSampler.fill so that on_call(count, out) sees every filled
+    chunk; returns the list of their rows."""
     calls = []
     fill = noise.BlockSampler.fill
 
     def hooked(sampler, out):
-        calls.append(out.shape[0])
+        calls.append(out.shape[1])
         return on_call(len(calls), fill(sampler, out))
 
     monkeypatch.setattr(noise.BlockSampler, "fill", hooked)
@@ -632,19 +634,55 @@ class TestPrefetchedChunks:
 class TestRunningSums:
     @pytest.mark.parametrize("f", [2, 8, 128])
     def test_match_coarsen_coeffs(self, f):
-        # bit-equal only because numpy's reshape-sum adds the rows of a group
-        # one at a time, in order, from a copy of the first: pinned here, as
-        # another reduction order would break the coupling silently
-        tape = np.random.default_rng(f).standard_normal((1024, 63, 64))
-        want = noise.coarsen_coeffs(tape, f)
+        # bit-equal only because numpy adds the rows of a group one at a
+        # time, in order, from a copy of the first, both in the reshape-sum
+        # of the whole time-major tape and in the one sum along the rows of
+        # a stream-major chunk (K innermost): pinned here, as another
+        # reduction order would break the coupling silently
+        whole = np.random.default_rng(f).standard_normal((1024, 63, 64))
+        want = noise.coarsen_coeffs(whole, f)
+        tape = np.ascontiguousarray(whole.transpose(2, 0, 1))     # stream-major
         for rows in (1, f // 2):
-            acc = np.empty((63, 64))
-            got = [harness._coarsen_chunk(tape[lo:lo + rows], f, k, acc).copy()
-                   for k, lo in enumerate(range(0, 1024, rows))]
+            # the plan's buffer: a spare leading row, then the chunk's rows
+            buf, acc = np.empty((64, 1 + rows, 63)), np.empty((64, 63))
+            got = []
+            for k, lo in enumerate(range(0, 1024, rows)):
+                buf[:, 1:] = tape[:, lo:lo + rows]
+                got.append(harness._coarsen_chunk(buf, rows, f, k, acc).copy())
             # a group ends, and gives its one row, every f / rows chunks
             assert [len(c) for c in got] == [int((k + 1) % (f // rows) == 0)
                                              for k in range(1024 // rows)]
             assert np.array_equal(np.concatenate(got), want)
+
+    @pytest.mark.parametrize("n", [15, 63, 511])
+    @pytest.mark.parametrize("bs", [1, 64])
+    def test_load_product_reads_stream_major_rows_as_they_lie(self, n, bs):
+        # the chunk's transposed view (factor 1), its coarsening and a
+        # running sum's view are operands BLAS reads transposed, with no
+        # copy: for one sample or a full block each product is bit for bit
+        # that of a time-major copy
+        rows = 8
+        loadmat = fem1d.sine_load_matrix(fem1d.build_mesh(1.0, n), n)
+        tape = np.random.default_rng([n, bs]).standard_normal((bs, 1 + rows, n))
+        chunk = tape[:, 1:].transpose(1, 2, 0)
+        for coarse in (chunk, noise.coarsen_coeffs(chunk, 4), tape[:, 0].T[None]):
+            want = np.matmul(loadmat, np.ascontiguousarray(coarse))
+            assert np.array_equal(np.matmul(loadmat, coarse), want)
+
+    @pytest.mark.parametrize("n,bs", [(31, 3), (63, 8), (511, 3)])
+    def test_load_product_ignores_the_chunk_rows(self, n, bs):
+        # at some tail widths BLAS sums a transposed operand in another order
+        # than a time-major copy, but never by where the rows lie: a row's
+        # product is the same from a running sum's (bs, K) view and from
+        # chunks of 1, 2 or 8 rows, with or without the spare row
+        loadmat = fem1d.sine_load_matrix(fem1d.build_mesh(1.0, n), n)
+        row = np.random.default_rng([n, bs]).standard_normal((bs, n))
+        want = np.matmul(loadmat, row.T[None])        # as a running sum
+        for rows, spare in ((1, 0), (2, 1), (8, 0), (8, 1)):
+            tape = np.zeros((bs, spare + rows, n))
+            tape[:, -1] = row
+            assert np.array_equal(np.matmul(loadmat, tape[:, spare:].transpose(1, 2, 0))[-1],
+                                  want[0])
 
     def test_legs_of_three_shapes_share_the_work_buffer(self, monkeypatch):
         # n = 7, 31 and 63 step in turn in one buffer, each where the others'
@@ -695,7 +733,7 @@ def test_odd_drift_negated_noise_negates_block(monkeypatch, n, coeffs):
             for r in (*cfg.grid, cfg.reference, Resolution(8, 3), Resolution(3, 3))]
     negated = [leg._replace(starts=(tuple((j, -a) for j, a in start),)) for leg in legs]
     distinct = dict.fromkeys([(h, f) for f in (32, 16, 8, 1)] + [(3, 1), (3, 32)])
-    monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 21 * n * 8 + 2 * 5 * 7 * 8)
+    monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 22 * n * 8 + 2 * 5 * 7 * 8)
     assert harness._stream_plan(2**8, n, 8, list(distinct))[0] == 4
     plain = harness._paths_block(cfg, 0, legs)
     fill = noise.BlockSampler.fill
@@ -706,6 +744,41 @@ def test_odd_drift_negated_noise_negates_block(monkeypatch, n, coeffs):
 
 
 class TestWeakStudy:
+    @pytest.mark.parametrize("crn", [True, False])
+    def test_drift_free_errors_match_exact_law(self, crn, monkeypatch):
+        # sampler, coupling, product and reduction together, at the level of
+        # the law: at n = 15 the mean of phi at tau = 2^-2..2^-4 and 2^-7,
+        # and the weak errors of the first three against the last, lie
+        # within 4 standard errors of their exact values (seed fixed before
+        # any run). In chunks of 8 rows, so with common tapes factors 16
+        # and 32 step on running sums; independent tapes draw each
+        # resolution on a stream of its own
+        cfg = StudyConfig(
+            kind="weak_rate", L=1.0, drift=None, taming=None,
+            initial_modes=None, s=0.5005, K=None,
+            grid=(Resolution(2, 4), Resolution(3, 4), Resolution(4, 4)),
+            reference=Resolution(7, 4), T=1.0, samples=16384, seed=31,
+            crn_tapes=crn)
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**15)
+        distinct = [(4, 32), (4, 16), (4, 8), (4, 1)]
+        assert harness._stream_plan(2**7, 15, 64, distinct)[0] == 8
+        joined = []
+        run_legs = harness._run_legs
+
+        def kept(*args):
+            joined.append(run_legs(*args))
+            return joined[-1]
+
+        monkeypatch.setattr(harness, "_run_legs", kept)
+        rep = harness.weak_rate_study(cfg)
+        z = (rep.errors - drift_free_weak_errors(cfg)) / rep.stderrs
+        assert np.all(np.abs(z) <= 4.0), z
+        (vals,) = joined
+        exact = [drift_free_weak_value(cfg, r) for r in (*cfg.grid, cfg.reference)]
+        mean, se = harness._mean_se(vals)
+        z = (mean - exact) / se
+        assert np.all(np.abs(z) <= 4.0), z
+
     def test_crn_variance_reduction(self):
         paired = harness.weak_rate_study(weak_cfg(crn=True))
         indep = harness.weak_rate_study(weak_cfg(crn=False))

@@ -138,17 +138,17 @@ class TestTapes:
         singles = [noise.sample_tape_coeffs(m, 4, 1.0, 8,
                                             noise.stream_context(0, i))
                    for i in range(5)]
-        stacked = np.stack(singles, axis=2)
+        stacked = np.stack(singles)
         sampler = noise.BlockSampler(m, 4, 1.0 / 8,
                                      [noise.stream_context(0, i) for i in range(5)])
         # one buffer refilled in place, as _paths_block's tape buffer is,
         # so each chunk is copied out before the next fill
-        buf = np.zeros((5, 3, 5))
+        buf = np.zeros((5, 5, 3))
         chunks = []
         for rows in (3, 5):
-            sampler.fill(buf[:rows])
-            chunks.append(buf[:rows].copy())
-        assert np.array_equal(np.concatenate(chunks), stacked)
+            sampler.fill(buf[:, :rows])
+            chunks.append(buf[:, :rows].copy())
+        assert np.array_equal(np.concatenate(chunks, axis=1), stacked)
 
 
 def philox_tape(m, seed, tau, steps, ctx):
@@ -158,6 +158,43 @@ def philox_tape(m, seed, tau, steps, ctx):
     return (np.sqrt(tau) * noise.coefficient_scales(m)) * ndtri(u).reshape(steps, m.K)
 
 
+class _Words:
+    """A stand-in for noise._generator's Generator whose random() yields
+    the uniforms k 2^-53 of the given 53-bit words k, in turn."""
+
+    def __init__(self, words):
+        self._u = iter(np.array(words, dtype=float) * 2.0**-53)
+
+    def random(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out.flat = [next(self._u) for _ in range(out.size)]
+        return out
+
+
+class TestEdgeWords:
+    # the least, the middle and the top 53-bit words; the top one rounds to
+    # u = 1.0 without the cap, where the inverse CDF is +inf
+    WORDS = [0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1]
+
+    def test_inverse_cdf_is_finite_and_increasing(self):
+        k = np.array(self.WORDS, dtype=float)
+        z = noise._inverse_cdf(k * 2.0**-53)
+        assert np.all(np.isfinite(z)) and np.all(np.diff(z) > 0)
+        # every word below the top keeps its cell's middle, (k + 1/2) 2^-53 rounded
+        assert np.array_equal(z[:-1], ndtri((k[:-1] + 0.5) * 2.0**-53))
+        assert z[-1] == ndtri(1.0 - 2.0**-53)
+
+    def test_stream_and_block_draw_edge_words_alike(self, monkeypatch):
+        # RngStream.normals and BlockSampler.fill share the one transform
+        monkeypatch.setattr(noise, "_generator",
+                            lambda seed, ctx: _Words(self.WORDS))
+        normals = noise.RngStream(0, 0).normals(len(self.WORDS))
+        assert np.all(np.isfinite(normals))
+        sampler = noise.BlockSampler(model(s=0.0, K=len(self.WORDS)), 0, 1.0, [0, 1])
+        tape = sampler.fill(np.empty((2, 1, len(self.WORDS))))
+        assert np.array_equal(tape[0, 0], normals) and np.array_equal(tape[1, 0], normals)
+
+
 class TestChunkedTapes:
     @pytest.mark.parametrize("rows", [1, 3, 4, 8])
     def test_chunks_concatenate_to_whole_tape(self, rows):
@@ -165,33 +202,35 @@ class TestChunkedTapes:
         m = model(K=3)
         for B in (1, 3):
             ctxs = [noise.stream_context(1, 5 + i) for i in range(B)]
-            want = np.stack([philox_tape(m, 17, 2.0 / 32, 32, c) for c in ctxs], axis=2)
+            want = np.stack([philox_tape(m, 17, 2.0 / 32, 32, c) for c in ctxs])
             sampler = noise.BlockSampler(m, 17, 2.0 / 32, ctxs)
             sizes = [rows] * (32 // rows) + ([32 % rows] if 32 % rows else [])
-            got = np.concatenate([sampler.fill(np.empty((r, 3, B))) for r in sizes])
+            got = np.concatenate([sampler.fill(np.empty((B, r, 3))) for r in sizes],
+                                 axis=1)
             assert np.array_equal(got, want)
         assert np.array_equal(noise.sample_tape_coeffs(m, 17, 2.0, 32, ctxs[0]),
-                              want[:, :, 0])
+                              want[0])
 
     def test_chunk_rows_policy(self, monkeypatch):
         # 2**20 floats of a 63-mode, 64-sample block: 256 rows of 4032 floats
         assert harness._stream_plan(4096, 63, 64, [])[0] == 256
-        # a factor above the chunk costs one load a set and one running sum,
-        # 259 x 4032 floats at 256 rows; it never forces a larger chunk
+        # a factor above the chunk costs one load a set, one running sum and
+        # the tape's spare row, 260 x 4032 floats at 256 rows; it never
+        # forces a larger chunk
         plan = harness._stream_plan(4096, 63, 64, [(6, 1024)])
-        assert (plan[0], plan_floats(plan)) == (256, 259 * 63 * 64)
+        assert (plan[0], plan_floats(plan)) == (256, 260 * 63 * 64)
         # never more rows than the tape has (rows of 10 floats, loads of 10)
         assert harness._stream_plan(64, 1, 10, [(1, 1)])[0] == 64
         # a row larger than the budget (2**21 floats) still gets a chunk of one row
         assert harness._stream_plan(8, 2**15, 64, [])[0] == 1
-        # _paths_block's budget holds the tape buffer, both load sets and
-        # the running sums
+        # _paths_block's budget holds the tape buffer (with its spare row),
+        # both load sets and the running sums
         assert block_chunk_rows(monkeypatch, [(8, h) for h in range(5, 10)]) == 4
         assert block_chunk_rows(monkeypatch, [(m, 6) for m in (6, 7, 8, 9, 12)]) == 64
         # the weak ladder: its largest factor, 128, spans two chunks of 64
-        # rows, (65 + 2 (1 + 1 + 2 + 4 + 64)) x 4032 floats
+        # rows, (1 + 65 + 2 (1 + 1 + 2 + 4 + 64)) x 4032 floats
         rows, floats = block_plan(monkeypatch, *ladder([(m, 6) for m in (5, 6, 7, 8, 12)]))
-        assert (rows, floats) == (64, 209 * 63 * 64)
+        assert (rows, floats) == (64, 210 * 63 * 64)
 
 
 class _Sized(Exception):

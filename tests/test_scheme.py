@@ -81,6 +81,34 @@ class TestConfigValidation:
             scheme.make_scheme_config(ops, CUBIC, None, 0.1, np.zeros(7))
 
 
+class TestMassProduct:
+    @pytest.mark.parametrize("n", [1, 2, 7, 63])
+    def test_heat_step_solves_the_tridiagonal_mass_product(self, n):
+        # the step's M x from two scalar diagonals on the padded state is
+        # bit for bit fem1d.tridiag_matvec on M's stored diagonals
+        rng = np.random.default_rng(n)
+        x0 = rng.standard_normal((n, 3))
+        ops = fem1d.assemble_operators(fem1d.build_mesh(1.0, n))
+        cfg = scheme.make_scheme_config(ops, None, None, 0.01, x0)
+        stepper = scheme.Stepper(cfg)
+        stepper.step_loads(np.zeros((1, n, 3)))
+        want = scheme.shifted_operator(cfg).solve(fem1d.tridiag_matvec(cfg.ops.mass, x0))
+        assert np.array_equal(stepper.finish().x, want)
+
+    @pytest.mark.parametrize("diagonal", ["main", "off"])
+    def test_non_constant_diagonal_rejected(self, diagonal):
+        ops = ops_for(3)
+        M = ops.mass
+        bent = getattr(M, diagonal).copy()
+        bent[-1] *= 1.5
+        mass = fem1d.TriDiagSym(M.dim, **{"main": M.main, "off": M.off, diagonal: bent})
+        cfg = scheme.make_scheme_config(
+            fem1d.FemOperators(mesh=ops.mesh, mass=mass, stiffness=ops.stiffness),
+            None, None, 0.01, np.zeros(M.dim))
+        with pytest.raises(InvalidArgumentError, match="constant diagonals"):
+            scheme.Stepper(cfg)
+
+
 class TestSingleStepOracle:
     def test_matches_dense_reference(self):
         rng = np.random.default_rng(77)
