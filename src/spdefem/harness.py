@@ -196,6 +196,11 @@ class StudyConfig:
             _require(model.K * BLOCK <= noise.MAX_TAPE_FLOATS,
                      f"noise.K must be <= MAX_TAPE_FLOATS / {BLOCK} = "
                      f"{noise.MAX_TAPE_FLOATS // BLOCK}, got {model.K}")
+            # with one mode the tape rows are the innermost axis of every
+            # coarsening sum, which numpy adds pairwise, not row after row,
+            # so a study's bits would depend on its chunk rows
+            _require(model.K >= 2, "noise.K must be >= 2 (the default K is the finest "
+                     f"mesh's n), got {model.K}")
         if kind == "smoothing":
             _require(times and _finite(*times) and times[0] > 0
                      and all(a < b for a, b in zip(times, times[1:])),
@@ -278,48 +283,48 @@ def _coarsen_chunk(tape, rows, f, k, acc):
     """Chunk k's coarse rows of factor f as (loads, K, bs), bit for bit
     those of noise.coarsen_coeffs on the whole (steps, K, bs) tape.
 
-    tape is the stream's (bs, spare + rows, K) buffer: the chunk's rows of
-    stream b in tape[b, spare:], after one spare leading row when a
-    factor exceeds the chunk. A factor up to rows goes through
+    tape is the stream's stream-major buffer: the chunk's rows of stream
+    b are its last rows, tape[b, -rows:]. A factor up to rows goes through
     coarsen_coeffs on the chunk's transposed view (factor 1 is that view).
     A larger one reduces the chunk's rows into acc, its running (bs, K)
     sum across chunks, in one sum along the rows; a chunk that continues a
-    group copies acc into the spare row first, so the sum starts from it.
-    With K > 1 the rows are not the innermost axis, so numpy reduces them
-    row after row: this is the sum of adding the rows one at a time, as
-    the reshape-sum does. At the group's end acc is the chunk's one
-    coarse row.
+    group first copies acc into the spare row just before its rows, which
+    _stream_plan gives the tape whenever a factor exceeds the chunk, so
+    the sum starts from it. As K > 1 (StudyConfig rejects K = 1), the rows
+    are not the innermost axis, so numpy reduces them row after row: this
+    is the sum of adding the rows one at a time, as the reshape-sum does.
+    At the group's end acc is the chunk's one coarse row.
     """
     chunk = tape[:, -rows:]
     if f <= rows:
         return noise.coarsen_coeffs(chunk.transpose(1, 2, 0), f)
     if k * rows % f:                # chunk k continues a group
-        tape[:, 0] = acc
-        chunk = tape
+        tape[:, -rows - 1] = acc
+        chunk = tape[:, -rows - 1:]
     np.sum(chunk, axis=1, out=acc)
     return acc.T[None][:_chunk_loads(rows, f, k)]
 
 
-def _fill_loads(sampler, tape, sums, loadmats, meshes, check_coupling, k, out):
+def _fill_loads(sampler, tape, rows, sums, timemajor, loadmats, meshes, check_coupling,
+                k, out):
     """Assemble chunk k's noise loads into out, a load set, and return its
     loads of this chunk, out[(h_exp, f)][:_chunk_loads(rows, f, k)].
 
-    Draws the chunk into tape, stream-major (bs, rows, K) after a spare
-    leading row when sums is not empty, and coarsens it once per distinct
-    factor f (_coarsen_chunk, with sums[f] the running (bs, K) sum of a
-    factor above the chunk's rows; only this thread touches it, as the
-    legs step on the load sets). The load sets of one factor come in out
-    finest mesh first. The first gets one stacked product of
-    loadmats[h_exp], the sine load matrix of its mesh, and the chunk's
-    (loads, K, bs) coarse rows, a transposed view that BLAS reads as a
-    transposed operand, with no copy. Each later one restricts the one
-    before it (fem1d.restrict on meshes[h_exp], along the node axis, in
-    its own buffer): a coarse hat is a combination of fine ones, so its
-    loads are the finer loads restricted.
+    Draws the chunk's rows into the last rows of tape, stream-major
+    (bs, rows, K), and coarsens them once per distinct factor f
+    (_coarsen_chunk, with sums[f] the running (bs, K) sum of a factor
+    above rows; only this thread touches it, as the legs step on the load
+    sets). The load sets of one factor come in out finest mesh first. The
+    first gets one stacked product of loadmats[h_exp], the sine load
+    matrix of its mesh, and the chunk's (loads, K, bs) coarse rows: a
+    transposed view that BLAS reads as a transposed operand, with no copy,
+    or, when the plan gave the stream a timemajor buffer, a time-major
+    copy of them in it (_stream_plan says when). Each later one restricts
+    the one before it (fem1d.restrict on meshes[h_exp], along the node
+    axis, in its own buffer): a coarse hat is a combination of fine ones,
+    so its loads are the finer loads restricted.
     """
-    chunk = tape[:, 1:] if sums else tape
-    rows = chunk.shape[1]
-    sampler.fill(chunk)
+    chunk = sampler.fill(tape[:, -rows:])
     coarse = {f: _coarsen_chunk(tape, rows, f, k, sums.get(f))
               for f in dict.fromkeys(f for _, f in out)}
     if check_coupling and k == 0:
@@ -336,7 +341,11 @@ def _fill_loads(sampler, tape, sums, loadmats, meshes, check_coupling, k, out):
                            np.moveaxis(loads[(finer[f], f)], 1, 0),
                            out=np.moveaxis(dest, 1, 0))
         else:
-            np.matmul(loadmats[h], coarse[f], out=dest)
+            operand = coarse[f]
+            if timemajor is not None:
+                operand = timemajor[:len(operand)]
+                operand[...] = coarse[f]
+            np.matmul(loadmats[h], operand, out=dest)
         finer[f] = h
     return loads
 
@@ -379,18 +388,37 @@ def _stream_plan(steps, K, bs, distinct):
     none does: a single row is the only way past the budget. The count
     never falls as r grows, so halving from steps finds it.
 
-    Returns (rows, tape, sums, sets): the tape's shape, the sums' shapes
-    by factor and the two sets' load shapes by key.
+    A stream whose block is narrower than BLOCK, or whose K exceeds the n
+    of a mesh that takes a product (a factor's finest), also holds a
+    time-major (max(r / f_1, 1), K, bs) buffer for the products' operands,
+    f_1 its smallest factor. There the load product of the stream-major
+    rows as they lie, which BLAS reads as a transposed operand, can sum
+    in another order than the time-major product: OpenBLAS 0.3.31 (numpy's
+    wheel) does at many widths below 64, and at 64 for some K > n. At a
+    full block with K <= n the two agree (every K <= n up to n = 127, and
+    n up to 1023), and a copy would only cost.
+
+    Returns (rows, tape, sums, timemajor, sets): the tape's shape, the
+    sums' shapes by factor, the time-major buffer's shape or None and the
+    two sets' load shapes by key.
     """
+    # a factor's product runs on its finest mesh, its first key in distinct
+    product_n = {}
+    for h, f in distinct:
+        product_n.setdefault(f, 2**h - 1)
+    copies = bs < BLOCK or any(K > n for n in product_n.values())
     rows = steps
     while True:
         sums = {f: (bs, K) for _, f in distinct if f > rows}
         tape = (bs, rows + 1 if sums else rows, K)
         loads = {(h, f): (max(rows // f, 1), 2**h - 1, bs) for h, f in distinct}
+        lead = max((shape[0] for shape in loads.values()), default=0)
+        timemajor = (lead, K, bs) if copies and lead else None
         sets = (loads, loads)
-        held = [tape, *sums.values()] + [shape for st in sets for shape in st.values()]
+        held = [tape, *sums.values()] + ([timemajor] if timemajor else [])
+        held += [shape for st in sets for shape in st.values()]
         if rows == 1 or sum(map(math.prod, held)) <= noise.MAX_TAPE_FLOATS:
-            return rows, tape, sums, sets
+            return rows, tape, sums, timemajor, sets
         rows //= 2
 
 
@@ -453,7 +481,7 @@ def _paths_block(cfg, b, legs):
 
     The stream's memory is decided before its first step: _stream_plan
     picks the rows per chunk and the shapes of the tape buffer, the
-    running sums and both load sets, within noise.MAX_TAPE_FLOATS unless
+    running sums, the time-major copy if any and both load sets, within noise.MAX_TAPE_FLOATS unless
     a single fine row alone exceeds it, and the stream allocates exactly
     those. A block without noise has no stream: each leg steps its whole
     run once on read-only zero loads, and no thread starts. The legs step
@@ -505,7 +533,7 @@ def _paths_block(cfg, b, legs):
                 for i, leg in enumerate(legs) if leg.stream == stream}
         # each factor's load sets finest mesh first, as _fill_loads assembles them
         distinct = sorted(set(keys.values()), key=lambda key: (key[1], -key[0]))
-        rows, tape, sums, sets = _stream_plan(2**m, model.K, bs, distinct)
+        rows, tape, sums, timemajor, sets = _stream_plan(2**m, model.K, bs, distinct)
         sampler = noise.BlockSampler(
             model, cfg.seed, cfg.T / 2**m,
             [noise.stream_context(stream, sidx) for sidx in idx])
@@ -513,8 +541,9 @@ def _paths_block(cfg, b, legs):
         for h in {max(h for h, g in distinct if g == f) for _, f in distinct}:
             if h not in loadmats:
                 loadmats[h] = fem1d.sine_load_matrix(meshes[h], model.K)
-        fill = functools.partial(_fill_loads, sampler, np.empty(tape),
+        fill = functools.partial(_fill_loads, sampler, np.empty(tape), rows,
                                  {f: np.empty(shape) for f, shape in sums.items()},
+                                 None if timemajor is None else np.empty(timemajor),
                                  loadmats, meshes, b == 0)
         chunks = _load_chunks(fill, [{key: np.empty(shape) for key, shape in st.items()}
                                      for st in sets], 2**m // rows)

@@ -111,6 +111,7 @@ MALFORMED = [
     ("strong-rate", None, "problem.taming.alpha", 0.0, "problem.taming.alpha"),
     ("strong-rate", None, "problem.taming.rho", -1.0, "problem.taming.rho"),
     ("strong-rate", None, "noise.K", 0, "noise.K"),
+    ("strong-rate", None, "noise.K", 1, "noise.K"),
     ("strong-rate", None, "kind", "strong", "study.kind"),
     ("strong-rate", None, "samples", 0, "study.samples"),
     ("strong-rate", None, "reference", [8, 2], "study.reference"),

@@ -114,6 +114,17 @@ class TestConfigValidation:
         model = harness.noise_model_for(cfg)
         assert model.K == 2**3 - 1
 
+    @pytest.mark.parametrize("change", [
+        {"K": 1},
+        # the default K, the finest mesh's n, is 1 on one-node meshes
+        {"grid": tuple(Resolution(m, 1) for m in (4, 5, 6)), "reference": Resolution(9, 1)}])
+    def test_one_noise_mode_rejected(self, change):
+        # one mode makes the tape rows the innermost axis of the coarsening
+        # sums, which numpy would add pairwise, so the chunk rows would
+        # change a study's bits
+        with pytest.raises(InvalidArgumentError, match="noise.K must be >= 2"):
+            dataclasses.replace(strong_cfg(), **change)
+
     @pytest.mark.parametrize("times", [(4.0, 1.0), (1.0, 2.0, 2.0)])
     def test_times_must_increase(self, times):
         with pytest.raises(InvalidArgumentError, match="study.times"):
@@ -266,9 +277,9 @@ class TestStreamedTapes:
             grid=(Resolution(6, 5), Resolution(6, 6), Resolution(6, 7)),
             reference=Resolution(6, 8), T=0.5, samples=64, seed=1)
         legs = [harness.Leg(r, 0, (None,)) for r in (*cfg.grid, cfg.reference)]
-        rows, tape, sums, sets = harness._stream_plan(2**6, 255, 64,
-                                                      [(h, 1) for h in (8, 7, 6, 5)])
-        assert rows == 32 and not sums
+        rows, tape, sums, timemajor, sets = harness._stream_plan(
+            2**6, 255, 64, [(h, 1) for h in (8, 7, 6, 5)])
+        assert rows == 32 and not sums and timemajor is None
         stream = math.prod(tape) + sum(math.prod(shape) for st in sets
                                        for shape in st.values())
         held = stream + 255 * 255 + scheme._work_layout(255, 64, False)[1]
@@ -450,6 +461,29 @@ class TestPrefetchedChunks:
             reference=Resolution(5, 5))
         assert_matches_whole_tape_runs(cfg, strong_legs(cfg), monkeypatch, threads)
 
+    @pytest.mark.parametrize("samples", [8, 16])
+    def test_narrow_block_matches_whole_tape_runs(self, monkeypatch, threads, samples):
+        # the strong ladder at n = K = 63 in a block of 8 or 16 samples, the
+        # tail widths of weak_trace_class_ci and weak_white_noise: there the
+        # stream-major rows as BLAS reads them give other products than
+        # the whole time-major tapes, so the products read a time-major copy
+        cfg = dataclasses.replace(
+            strong_cfg(samples=samples),
+            grid=(Resolution(4, 6), Resolution(5, 6), Resolution(6, 6)),
+            reference=Resolution(9, 6))
+        assert_matches_whole_tape_runs(cfg, strong_legs(cfg), monkeypatch, threads, 2**16)
+
+    def test_product_mesh_below_k_matches_whole_tape_runs(self, monkeypatch, threads):
+        # a full block whose products run on meshes of n = 7 and 31 with
+        # K = 63 modes, where the rows as they lie give other products too
+        cfg = dataclasses.replace(
+            strong_cfg(samples=64),
+            grid=(Resolution(4, 3), Resolution(4, 4), Resolution(4, 5)),
+            reference=Resolution(6, 6))
+        legs = [harness.Leg(Resolution(m, h), 0, (None,))
+                for m, h in ((6, 3), (5, 5), (4, 6))]
+        assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, 2**16)
+
     def test_shared_load_set_matches_whole_tape_runs(self, monkeypatch, threads):
         # the equilibration: three starts are the column groups of one leg, so
         # the helper assembles one load set a chunk, and one stepper of
@@ -550,7 +584,7 @@ class TestPrefetchedChunks:
 
     def test_blowup_in_middle_chunk_propagates(self, monkeypatch, threads):
         cfg, legs = strong_cfg(samples=1), strong_legs(strong_cfg())
-        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**8)
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**9)
 
         def nan_third(count, out):
             if count == 3:
@@ -589,13 +623,14 @@ class TestPrefetchedChunks:
         legs = [harness.Leg(Resolution(9, 3), 0, (None,)),
                 harness.Leg(Resolution(5, 3), 0, (None,)),
                 harness.Leg(Resolution(5, 2), 0, (None,), equilibrate_record(2))]
-        fills = assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, 2**11)
+        fills = assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, 3 * 2**10)
         assert set(fills) == {8}
 
     def test_fill_gets_exactly_the_planned_buffers(self, monkeypatch):
-        # _fill_loads fills the tape, the running sums and the two load sets
-        # of the shapes _stream_plan counted, and no others: in chunks of 8
-        # rows, factors 16 and 32 keep running sums
+        # _fill_loads fills the tape, the running sums, the time-major copy
+        # of a one-sample block and the two load sets of the shapes
+        # _stream_plan counted, and no others: in chunks of 8 rows, factors
+        # 16 and 32 keep running sums
         plans, filled = [], []
         stream_plan, fill_loads = harness._stream_plan, harness._fill_loads
 
@@ -603,22 +638,26 @@ class TestPrefetchedChunks:
             plans.append(stream_plan(*args))
             return plans[-1]
 
-        def seen(sampler, tape, sums, *rest):
-            filled.append((tape, sums, rest[-1]))
-            return fill_loads(sampler, tape, sums, *rest)
+        def seen(sampler, tape, rows, sums, timemajor, *rest):
+            filled.append((tape, rows, sums, timemajor, rest[-1]))
+            return fill_loads(sampler, tape, rows, sums, timemajor, *rest)
 
         monkeypatch.setattr(harness, "_stream_plan", planned)
         monkeypatch.setattr(harness, "_fill_loads", seen)
         cfg = strong_cfg(samples=1)
-        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**8)
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**9)
         harness._paths_block(cfg, 0, strong_legs(cfg))
-        (rows, tape, sums, sets), = plans
+        (rows, tape, sums, timemajor, sets), = plans
         assert rows == 8 and set(sums) == {16, 32} and len(filled) == 2**9 // rows
-        tapes, running, outs = zip(*filled)
-        # one tape buffer and one sum per factor throughout, two load sets in turn
+        assert tape == (1, 1 + rows, 7) and timemajor == (rows, 7, 1)
+        tapes, chunk_rows, running, copies, outs = zip(*filled)
+        # one tape buffer, one sum per factor and one copy buffer
+        # throughout, two load sets in turn
         assert all(t is tapes[0] for t in tapes) and tapes[0].shape == tape
+        assert set(chunk_rows) == {rows}
         assert all(r is running[0] for r in running)
         assert {f: a.shape for f, a in running[0].items()} == sums
+        assert all(c is copies[0] for c in copies) and copies[0].shape == timemajor
         assert outs[0] is not outs[1]
         for k, out in enumerate(outs):
             assert out is outs[k % 2]
@@ -668,6 +707,18 @@ class TestRunningSums:
         for coarse in (chunk, noise.coarsen_coeffs(chunk, 4), tape[:, 0].T[None]):
             want = np.matmul(loadmat, np.ascontiguousarray(coarse))
             assert np.array_equal(np.matmul(loadmat, coarse), want)
+
+    @pytest.mark.parametrize("n", [7, 31, 127, 511])
+    def test_full_block_product_reads_fewer_modes_as_they_lie(self, n):
+        # the rule _stream_plan copies by: at a full block with K <= n the
+        # transposed chunk view's product is that of a time-major copy
+        rows = 4
+        for K in (2, (n + 1) // 2):
+            loadmat = fem1d.sine_load_matrix(fem1d.build_mesh(1.0, n), K)
+            tape = np.random.default_rng([n, K]).standard_normal((harness.BLOCK, rows, K))
+            chunk = tape.transpose(1, 2, 0)
+            want = np.matmul(loadmat, np.ascontiguousarray(chunk))
+            assert np.array_equal(np.matmul(loadmat, chunk), want)
 
     @pytest.mark.parametrize("n,bs", [(31, 3), (63, 8), (511, 3)])
     def test_load_product_ignores_the_chunk_rows(self, n, bs):
@@ -733,7 +784,7 @@ def test_odd_drift_negated_noise_negates_block(monkeypatch, n, coeffs):
             for r in (*cfg.grid, cfg.reference, Resolution(8, 3), Resolution(3, 3))]
     negated = [leg._replace(starts=(tuple((j, -a) for j, a in start),)) for leg in legs]
     distinct = dict.fromkeys([(h, f) for f in (32, 16, 8, 1)] + [(3, 1), (3, 32)])
-    monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 22 * n * 8 + 2 * 5 * 7 * 8)
+    monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 26 * n * 8 + 2 * 5 * 7 * 8)
     assert harness._stream_plan(2**8, n, 8, list(distinct))[0] == 4
     plain = harness._paths_block(cfg, 0, legs)
     fill = noise.BlockSampler.fill

@@ -219,6 +219,15 @@ class TestChunkedTapes:
         # forces a larger chunk
         plan = harness._stream_plan(4096, 63, 64, [(6, 1024)])
         assert (plan[0], plan_floats(plan)) == (256, 260 * 63 * 64)
+        # a block narrower than 64, or K above a product mesh's n, also
+        # holds a time-major copy of its first factor's loads; a restricted
+        # mesh's n does not count
+        assert harness._stream_plan(4096, 63, 64, [(6, 1), (3, 1)])[3] is None
+        for K, bs, distinct in ((63, 63, [(6, 1), (3, 1)]), (64, 64, [(6, 1)]),
+                                (63, 64, [(6, 1), (3, 2)])):
+            plan = harness._stream_plan(4096, K, bs, distinct)
+            assert plan[3] == (plan[0], K, bs)
+            assert plan_floats(plan) <= noise.MAX_TAPE_FLOATS
         # never more rows than the tape has (rows of 10 floats, loads of 10)
         assert harness._stream_plan(64, 1, 10, [(1, 1)])[0] == 64
         # a row larger than the budget (2**21 floats) still gets a chunk of one row
@@ -239,9 +248,10 @@ class _Sized(Exception):
 
 def plan_floats(plan):
     """The floats of a harness._stream_plan's buffers: the tape, the running
-    sums and both load sets."""
-    _, tape, sums, sets = plan
-    shapes = [tape, *sums.values()] + [shape for st in sets for shape in st.values()]
+    sums, the time-major copy if any and both load sets."""
+    _, tape, sums, timemajor, sets = plan
+    shapes = [tape, *sums.values()] + ([timemajor] if timemajor else [])
+    shapes += [shape for st in sets for shape in st.values()]
     return sum(math.prod(shape) for shape in shapes)
 
 
