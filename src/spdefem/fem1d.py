@@ -290,11 +290,13 @@ def fractional_seminorm_sq(ops, gamma, v):
     In the sine coordinates a = sine_transform(v) it is
     sum_k lambda_k^gamma mu_k a_k^2 / (2(n+1)), with mu_k the mass
     eigenvalues: gamma = 0 gives v^T M v and gamma = 1 gives v^T S v.
-    """
+    The sum runs over k in index order (_node_sum), so a column's value
+    does not depend on the columns beside it."""
     v = np.asarray(v, dtype=float)
     mesh = ops.mesh
     a = sine_transform(v)
-    return _seminorm_weights(mesh.L, mesh.n_interior, gamma) @ (a * a)
+    w = _seminorm_weights(mesh.L, mesh.n_interior, gamma)
+    return _node_sum(w.reshape(-1, *[1] * (a.ndim - 1)) * (a * a))
 
 
 @functools.lru_cache(maxsize=32)
@@ -308,10 +310,18 @@ def _seminorm_weights(L, n, gamma):
     return w
 
 
+def _node_sum(terms):
+    """Sum over axis 0 in index order, row after row at every width, where
+    reductions and einsum go pairwise on a single column. At two or more
+    columns it is einsum's sum bit for bit."""
+    return np.cumsum(terms, axis=0)[-1]
+
+
 def lp_norm(mesh, v, p):
     """L^p(0, L) norm of the P1 interpolant of nodal values v.
 
-    Finite p uses the module quadrature rule; p = inf is the nodal max
+    Finite p uses the module quadrature rule, summed over the elements
+    and their points in index order (_node_sum); p = inf is the nodal max
     (exact for piecewise linears). v may be (n,) or (n, B); the batched
     form returns one norm per column.
     """
@@ -321,17 +331,15 @@ def lp_norm(mesh, v, p):
     if np.isinf(p):
         return np.abs(v).max(axis=0) if v.size else 0.0
     vals = interpolant_at_quad(mesh, v)
-    if vals.ndim == 2:
-        acc = mesh.h * np.einsum("q,eq->", QUAD_W, np.abs(vals) ** p)
-    else:
-        acc = mesh.h * np.einsum("q,eqb->b", QUAD_W, np.abs(vals) ** p)
-    return acc ** (1.0 / p)
+    terms = QUAD_W.reshape(-1, *[1] * (v.ndim - 1)) * np.abs(vals) ** p
+    return (mesh.h * _node_sum(terms.reshape(-1, *v.shape[1:]))) ** (1.0 / p)
 
 
 def l2_norm_sq_mass(ops, v):
-    """Exact squared L2 norm x^T M x (cheaper than quadrature, identical value)."""
+    """Exact squared L2 norm x^T M x (cheaper than quadrature, identical
+    value), summed over the nodes in index order (_node_sum)."""
     v = np.asarray(v, dtype=float)
-    return np.einsum("i...,i...->...", v, tridiag_matvec(ops.mass, v))
+    return _node_sum(v * tridiag_matvec(ops.mass, v))
 
 
 def _nesting_factor(mesh_coarse, mesh_fine):

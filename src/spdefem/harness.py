@@ -280,13 +280,13 @@ def _chunk_loads(rows, f, k):
 
 
 def _coarsen_chunk(tape, rows, f, k, acc):
-    """Chunk k's coarse rows of factor f as (loads, K, bs), bit for bit
-    those of noise.coarsen_coeffs on the whole (steps, K, bs) tape.
+    """Chunk k's coarse rows of factor f as (loads, K, BLOCK), bit for bit
+    those of noise.coarsen_coeffs on the whole (steps, K, BLOCK) tape.
 
     tape is the stream's stream-major buffer: the chunk's rows of stream
     b are its last rows, tape[b, -rows:]. A factor up to rows goes through
     coarsen_coeffs on the chunk's transposed view (factor 1 is that view).
-    A larger one reduces the chunk's rows into acc, its running (bs, K)
+    A larger one reduces the chunk's rows into acc, its running (BLOCK, K)
     sum across chunks, in one sum along the rows; a chunk that continues a
     group first copies acc into the spare row just before its rows, which
     _stream_plan gives the tape whenever a factor exceeds the chunk, so
@@ -305,31 +305,31 @@ def _coarsen_chunk(tape, rows, f, k, acc):
     return acc.T[None][:_chunk_loads(rows, f, k)]
 
 
-def _fill_loads(sampler, tape, rows, sums, timemajor, loadmats, meshes, check_coupling,
-                k, out):
+def _fill_loads(sampler, tape, rows, bs, sums, loadmats, meshes, check_coupling, k, out):
     """Assemble chunk k's noise loads into out, a load set, and return its
     loads of this chunk, out[(h_exp, f)][:_chunk_loads(rows, f, k)].
 
-    Draws the chunk's rows into the last rows of tape, stream-major
-    (bs, rows, K), and coarsens them once per distinct factor f
-    (_coarsen_chunk, with sums[f] the running (bs, K) sum of a factor
+    Draws the chunk's rows of the block's bs streams into the last rows of
+    tape[:bs], stream-major (BLOCK, rows, K) (the streams past bs stay
+    zero), and coarsens the BLOCK streams once per distinct factor f
+    (_coarsen_chunk, with sums[f] the running (BLOCK, K) sum of a factor
     above rows; only this thread touches it, as the legs step on the load
     sets). The load sets of one factor come in out finest mesh first. The
     first gets one stacked product of loadmats[h_exp], the sine load
-    matrix of its mesh, and the chunk's (loads, K, bs) coarse rows: a
-    transposed view that BLAS reads as a transposed operand, with no copy,
-    or, when the plan gave the stream a timemajor buffer, a time-major
-    copy of them in it (_stream_plan says when). Each later one restricts
-    the one before it (fem1d.restrict on meshes[h_exp], along the node
-    axis, in its own buffer): a coarse hat is a combination of fine ones,
-    so its loads are the finer loads restricted.
+    matrix of its mesh, and the chunk's (loads, K, BLOCK) coarse rows: a
+    transposed view that BLAS reads as a transposed operand, with no copy.
+    Each later one restricts the one before it (fem1d.restrict on
+    meshes[h_exp], along the node axis, in its own buffer): a coarse hat
+    is a combination of fine ones, so its loads are the finer loads
+    restricted.
     """
-    chunk = sampler.fill(tape[:, -rows:])
+    sampler.fill(tape[:bs, -rows:])
     coarse = {f: _coarsen_chunk(tape, rows, f, k, sums.get(f))
               for f in dict.fromkeys(f for _, f in out)}
     if check_coupling and k == 0:
         # re-assert the coupling invariant where a first group fits in the
         # chunk: children sum to parents
+        chunk = tape[:, -rows:]
         for f, c in coarse.items():
             if f <= rows:
                 assert np.array_equal(c[0], chunk[:, :f].sum(axis=1).T)
@@ -341,11 +341,7 @@ def _fill_loads(sampler, tape, rows, sums, timemajor, loadmats, meshes, check_co
                            np.moveaxis(loads[(finer[f], f)], 1, 0),
                            out=np.moveaxis(dest, 1, 0))
         else:
-            operand = coarse[f]
-            if timemajor is not None:
-                operand = timemajor[:len(operand)]
-                operand[...] = coarse[f]
-            np.matmul(loadmats[h], operand, out=dest)
+            np.matmul(loadmats[h], coarse[f], out=dest)
         finer[f] = h
     return loads
 
@@ -372,53 +368,35 @@ def _load_chunks(fill, sets, n_chunks):
             yield loads
 
 
-def _stream_plan(steps, K, bs, distinct):
+def _stream_plan(steps, K, distinct):
     """The rows per chunk of a stream of steps (a power of two) fine rows,
     and the shapes of every buffer the stream holds: the one place that
     decides them, so _paths_block allocates exactly what is counted here.
 
     distinct holds the stream's (h_exp, f) load-set keys in _fill_loads's
-    order. At r rows a chunk the buffers are the stream-major (bs, r, K)
+    order. Every buffer is BLOCK streams wide, whatever the block's
+    width. At r rows a chunk they are the stream-major (BLOCK, r, K)
     tape the helper draws into, with one spare leading row when some
-    factor exceeds r; one running (bs, K) coarse sum for each distinct
+    factor exceeds r; one running (BLOCK, K) coarse sum for each distinct
     factor f above r, whose groups span chunks; and two load sets that
-    take turns, each with max(r / f, 1) loads of (2^h_exp - 1, bs) per
+    take turns, each with max(r / f, 1) loads of (2^h_exp - 1, BLOCK) per
     key. r is the largest power of two, no larger than steps, whose
     buffers fit noise.MAX_TAPE_FLOATS (read at call time), or one row when
     none does: a single row is the only way past the budget. The count
     never falls as r grows, so halving from steps finds it.
 
-    A stream whose block is narrower than BLOCK, or whose K exceeds the n
-    of a mesh that takes a product (a factor's finest), also holds a
-    time-major (max(r / f_1, 1), K, bs) buffer for the products' operands,
-    f_1 its smallest factor. There the load product of the stream-major
-    rows as they lie, which BLAS reads as a transposed operand, can sum
-    in another order than the time-major product: OpenBLAS 0.3.31 (numpy's
-    wheel) does at many widths below 64, and at 64 for some K > n. At a
-    full block with K <= n the two agree (every K <= n up to n = 127, and
-    n up to 1023), and a copy would only cost.
-
-    Returns (rows, tape, sums, timemajor, sets): the tape's shape, the
-    sums' shapes by factor, the time-major buffer's shape or None and the
-    two sets' load shapes by key.
+    Returns (rows, tape, sums, sets): the tape's shape, the sums' shapes
+    by factor and the two sets' load shapes by key.
     """
-    # a factor's product runs on its finest mesh, its first key in distinct
-    product_n = {}
-    for h, f in distinct:
-        product_n.setdefault(f, 2**h - 1)
-    copies = bs < BLOCK or any(K > n for n in product_n.values())
     rows = steps
     while True:
-        sums = {f: (bs, K) for _, f in distinct if f > rows}
-        tape = (bs, rows + 1 if sums else rows, K)
-        loads = {(h, f): (max(rows // f, 1), 2**h - 1, bs) for h, f in distinct}
-        lead = max((shape[0] for shape in loads.values()), default=0)
-        timemajor = (lead, K, bs) if copies and lead else None
+        sums = {f: (BLOCK, K) for _, f in distinct if f > rows}
+        tape = (BLOCK, rows + 1 if sums else rows, K)
+        loads = {(h, f): (max(rows // f, 1), 2**h - 1, BLOCK) for h, f in distinct}
         sets = (loads, loads)
-        held = [tape, *sums.values()] + ([timemajor] if timemajor else [])
-        held += [shape for st in sets for shape in st.values()]
+        held = [tape, *sums.values()] + [shape for st in sets for shape in st.values()]
         if rows == 1 or sum(map(math.prod, held)) <= noise.MAX_TAPE_FLOATS:
-            return rows, tape, sums, timemajor, sets
+            return rows, tape, sums, sets
         rows //= 2
 
 
@@ -474,17 +452,21 @@ def _paths_block(cfg, b, legs):
     costs one dense product, with the sine load matrix of its finest mesh
     (built once per block, and only for such meshes); its coarser meshes
     restrict that product one load set to the next (_fill_loads). A
-    factor f larger than the chunk keeps a running (bs, K) coarse sum
+    factor f larger than the chunk keeps a running coarse sum
     across chunks, so its leg steps once at the end of each of its groups
     and on nothing in the chunks between; before chunk k of r rows a leg
     has taken k r // f steps. The helper touches no stepper.
 
     The stream's memory is decided before its first step: _stream_plan
     picks the rows per chunk and the shapes of the tape buffer, the
-    running sums, the time-major copy if any and both load sets, within noise.MAX_TAPE_FLOATS unless
+    running sums and both load sets, within noise.MAX_TAPE_FLOATS unless
     a single fine row alone exceeds it, and the stream allocates exactly
-    those. A block without noise has no stream: each leg steps its whole
-    run once on read-only zero loads, and no thread starts. The legs step
+    those, BLOCK streams wide in every block: a tail block of bs samples
+    makes a full block's calls on its bs streams and zeros, and its legs
+    step on the first bs columns of each load. So, as the stepper and the
+    norms work column by column, a sample's numbers do not depend on its
+    block's width. A block without noise has no stream: each leg steps
+    its whole run once on read-only zero loads, and no thread starts. The legs step
     in one 64-byte-aligned work buffer (scheme.work_buffer), sized for the
     block's largest leg.
 
@@ -533,7 +515,7 @@ def _paths_block(cfg, b, legs):
                 for i, leg in enumerate(legs) if leg.stream == stream}
         # each factor's load sets finest mesh first, as _fill_loads assembles them
         distinct = sorted(set(keys.values()), key=lambda key: (key[1], -key[0]))
-        rows, tape, sums, timemajor, sets = _stream_plan(2**m, model.K, bs, distinct)
+        rows, tape, sums, sets = _stream_plan(2**m, model.K, distinct)
         sampler = noise.BlockSampler(
             model, cfg.seed, cfg.T / 2**m,
             [noise.stream_context(stream, sidx) for sidx in idx])
@@ -541,16 +523,15 @@ def _paths_block(cfg, b, legs):
         for h in {max(h for h, g in distinct if g == f) for _, f in distinct}:
             if h not in loadmats:
                 loadmats[h] = fem1d.sine_load_matrix(meshes[h], model.K)
-        fill = functools.partial(_fill_loads, sampler, np.empty(tape), rows,
+        fill = functools.partial(_fill_loads, sampler, np.zeros(tape), rows, bs,
                                  {f: np.empty(shape) for f, shape in sums.items()},
-                                 None if timemajor is None else np.empty(timemajor),
                                  loadmats, meshes, b == 0)
         chunks = _load_chunks(fill, [{key: np.empty(shape) for key, shape in st.items()}
                                      for st in sets], 2**m // rows)
         with contextlib.closing(chunks):
             for k, loads in enumerate(chunks):
                 for i, key in keys.items():
-                    step(i, loads[key], k * rows // key[1])
+                    step(i, loads[key][..., :bs], k * rows // key[1])
     return [np.array(records[i]) if i in records else stepper.finish().x
             for i, stepper in enumerate(steppers)]
 
@@ -601,11 +582,14 @@ def _recorded(cfg, leg):
 
 
 def _versions():
+    # the BLAS build: a study's bits rest on how its products sum
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "spdefem": __version__,
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
     }
 
 

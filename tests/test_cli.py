@@ -365,6 +365,16 @@ class TestOutputs:
         assert set(json.loads((out / "summary.json").read_text())) == keys
         assert re.fullmatch(line, capsys.readouterr().out.rstrip("\n"))
 
+    @pytest.mark.parametrize("sub", sorted(TINY_RUNS))
+    def test_summary_names_the_blas_build(self, tmp_path, sub):
+        # a study's bits rest on its BLAS build, so every summary.json names it
+        out = self.run_tiny(tmp_path, sub, doc=TINY_RUNS[sub][0])
+        blas = json.loads((out / "summary.json").read_text())["metadata"]["versions"]["blas"]
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert set(blas) == {"name", "version", "openblas configuration"}
+        assert blas["name"] == build["name"] and blas["version"] == build["version"]
+        assert blas["openblas configuration"] == build.get("openblas configuration")
+
     def test_strong_run_writes_csv_and_summary(self, tmp_path):
         out = self.run_tiny(tmp_path, "strong-rate")
         csv = (out / "strong_rate.csv").read_text().splitlines()

@@ -335,7 +335,8 @@ class TestFractionalPowers:
             want[2], rel=1e-11)
 
     def test_seminorm_weights_cached_read_only(self):
-        # cached per (mesh, gamma) and the same bytes as the weights built inline
+        # cached per (mesh, gamma) and the same bytes as the weights built
+        # inline, summed over the modes in index order
         ops = ops_for(1.0, 31)
         mesh = ops.mesh
         X = np.random.default_rng(17).normal(size=(31, 16))
@@ -343,7 +344,10 @@ class TestFractionalPowers:
         for gamma in (0.0, 0.3, 1.0):
             w = lam**gamma * fem1d._mass_eigenvalues(mesh) / 64.0
             a = fem1d.sine_transform(X)
-            assert np.array_equal(fem1d.fractional_seminorm_sq(ops, gamma, X), w @ (a * a))
+            want = np.zeros(16)
+            for k in range(31):
+                want = want + w[k] * (a[k] * a[k])
+            assert np.array_equal(fem1d.fractional_seminorm_sq(ops, gamma, X), want)
             cached = fem1d._seminorm_weights(mesh.L, mesh.n_interior, gamma)
             assert cached is fem1d._seminorm_weights(mesh.L, mesh.n_interior, gamma)
             assert not cached.flags.writeable
@@ -389,6 +393,24 @@ class TestNorms:
         assert got.shape == (4,)
         for b in range(4):
             assert got[b] == pytest.approx(fem1d.lp_norm(mesh, V[:, b], 4), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [15, 31, 63, 511])
+    def test_leading_columns_match_the_full_call(self, n):
+        # a column's norms do not depend on how many columns come with it:
+        # every leading (n, w) slice gives bit for bit the first w values
+        # of the (n, 64) call, so a sample's record is the same in a tail
+        # block of any width as in a full one
+        ops = ops_for(1.0, n)
+        X = np.random.default_rng([19, n]).normal(size=(n, 64))
+
+        def norms(v):
+            return (fem1d.l2_norm_sq_mass(ops, v), fem1d.lp_norm(ops.mesh, v, 4),
+                    fem1d.fractional_seminorm_sq(ops, 0.75, v))
+
+        full = norms(X)
+        for w in range(1, 65):
+            for got, want in zip(norms(X[:, :w]), full):
+                assert np.array_equal(got, want[:w]), w
 
     def test_mass_quadratic_form_equals_l2_squared(self):
         ops = ops_for(1.0, 9)

@@ -211,7 +211,7 @@ class TestStrongStudy:
             reference=Resolution(9, 4), T=1.0, samples=1024, seed=21)
         monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**16)
         distinct = [(4, 64), (4, 32), (4, 16), (4, 1)]
-        assert harness._stream_plan(2**9, 15, 64, distinct)[0] == 16
+        assert harness._stream_plan(2**9, 15, distinct)[0] == 16
         rep = harness.strong_rate_study(cfg)
         mean2 = rep.errors**2
         se_mean2 = 2.0 * rep.errors * rep.stderrs
@@ -277,9 +277,9 @@ class TestStreamedTapes:
             grid=(Resolution(6, 5), Resolution(6, 6), Resolution(6, 7)),
             reference=Resolution(6, 8), T=0.5, samples=64, seed=1)
         legs = [harness.Leg(r, 0, (None,)) for r in (*cfg.grid, cfg.reference)]
-        rows, tape, sums, timemajor, sets = harness._stream_plan(
-            2**6, 255, 64, [(h, 1) for h in (8, 7, 6, 5)])
-        assert rows == 32 and not sums and timemajor is None
+        rows, tape, sums, sets = harness._stream_plan(
+            2**6, 255, [(h, 1) for h in (8, 7, 6, 5)])
+        assert rows == 32 and not sums
         stream = math.prod(tape) + sum(math.prod(shape) for st in sets
                                        for shape in st.values())
         held = stream + 255 * 255 + scheme._work_layout(255, 64, False)[1]
@@ -308,6 +308,63 @@ class TestStreamedTapes:
             reference=Resolution(2, 9))
         harness._paths_block(cfg, 0, strong_legs(cfg))
         assert calls == [(511, 511)]
+
+
+class _Legs(Exception):
+    pass
+
+
+def study_legs(run, cfg, monkeypatch):
+    """The legs that study function run hands to harness._run_legs for cfg."""
+    def legs_of(cfg, legs, per_sample):
+        raise _Legs(legs)
+
+    with monkeypatch.context() as patch, pytest.raises(_Legs) as caught:
+        patch.setattr(harness, "_run_legs", legs_of)
+        run(cfg)
+    return caught.value.args[0]
+
+
+# each study at n = 63 (up to n = 255 for the spatial ladder, n = 15 for
+# the moments), where the load product, the norms or both used to depend
+# on the width
+WIDTH_STUDIES = {
+    "strong": (harness.strong_rate_study, lambda: dataclasses.replace(
+        strong_cfg(), grid=(Resolution(3, 6), Resolution(4, 6), Resolution(5, 6)),
+        reference=Resolution(7, 6))),
+    "weak_crn": (harness.weak_rate_study, lambda: dataclasses.replace(
+        weak_cfg(crn=True), grid=(Resolution(3, 6), Resolution(4, 6), Resolution(5, 6)),
+        reference=Resolution(7, 6))),
+    "strong_space": (harness.strong_rate_study, lambda: dataclasses.replace(
+        strong_space_cfg(), reference=Resolution(5, 8))),
+    "equilibrate": (harness.equilibration_study, lambda: dataclasses.replace(
+        equilibrate_cfg(), grid=(Resolution(6, 6),))),
+    "longtime": (harness.moment_study, lambda: dataclasses.replace(
+        moment_cfg(), s=0.3)),
+}
+
+
+class TestBlockWidth:
+    @pytest.mark.parametrize("study", list(WIDTH_STUDIES))
+    def test_tail_block_matches_the_same_samples_in_a_full_block(self, study,
+                                                                 monkeypatch):
+        # a sample's final states and records are bit for bit the same in
+        # a tail block of w samples as in a full block: block 1 of 64 + w
+        # samples against the first w samples of block 1 of 128. Each start
+        # of a leg is its own column group, bs columns wide
+        run, make_cfg = WIDTH_STUDIES[study]
+        cfg = make_cfg()
+        legs = tuple(study_legs(run, cfg, monkeypatch))
+        full = harness._paths_block(dataclasses.replace(cfg, samples=128), 1, legs)
+        differs = set()
+        for w in (1, 2, 3, 5, 7, 9, 16, 17, 63):
+            tail = harness._paths_block(dataclasses.replace(cfg, samples=64 + w), 1, legs)
+            for leg, got, want in zip(legs, tail, full):
+                for i in range(len(leg.starts)):
+                    if not np.array_equal(got[..., i * w:(i + 1) * w],
+                                          want[..., i * 64:i * 64 + w]):
+                        differs.add(w)
+        assert sorted(differs) == []
 
 
 class _Boom(Exception):
@@ -382,23 +439,28 @@ def loads_hook(monkeypatch, on_call):
     return calls
 
 
-def assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, budget=2**13):
+def assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, budget=2**16):
     """_paths_block on stream 0 against each leg run whole on its coarsening
     of stacked whole tapes: an independent oracle for the load set order.
-    A leg on the finest mesh of its factor steps on the product of its sine
-    load matrix; a coarser one on the next finer mesh's loads of that
-    factor restricted whole, which lie within 1e-12 of its own product. A
-    recorded leg's oracle is tests/stepping.py's recorded_run, one step at
-    a time.
+    The tapes lie as the driver lays them, BLOCK streams stream-major with
+    the streams past the block's zero, so each product is read the same
+    way. A leg on the finest mesh of its factor steps on the first bs
+    columns of the product of its sine load matrix; a coarser one on the
+    next finer mesh's loads of that factor restricted whole, which lie
+    within 1e-12 of its own product. A recorded leg's oracle is
+    tests/stepping.py's recorded_run, one step at a time.
 
     Chunking happens only in _paths_block, at a budget of 4 or more chunks.
     Returns the rows of every chunk filled.
     """
     model = harness.noise_model_for(cfg)
     m = max(leg.res.m for leg in legs)
-    tapes = np.stack([noise.sample_tape_coeffs(model, cfg.seed, cfg.T, 2**m,
-                                               noise.stream_context(0, i))
-                      for i in harness._block_range(cfg, 0)], axis=2)
+    block = harness._block_range(cfg, 0)
+    stacked = np.zeros((harness.BLOCK, 2**m, model.K))
+    for i in block:
+        stacked[i] = noise.sample_tape_coeffs(model, cfg.seed, cfg.T, 2**m,
+                                              noise.stream_context(0, i))
+    tapes = stacked.transpose(1, 2, 0)
     monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", budget)
     fills = fill_hook(monkeypatch, lambda count, out: out)
     interval = sys.getswitchinterval()
@@ -411,13 +473,13 @@ def assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, budget=2**13
     assert len(threads.started) == 1       # one helper for the one stream
     assert threads.all_ended()
     fills = list(fills)
-    bs = tapes.shape[2]
+    bs = len(block)
     loads = {}
     for h, f in sorted({(leg.res.h_exp, 2**(m - leg.res.m)) for leg in legs},
                        key=lambda key: (key[1], -key[0])):
         mesh = fem1d.build_mesh(cfg.L, 2**h - 1)
         product = np.matmul(fem1d.sine_load_matrix(mesh, model.K),
-                            noise.coarsen_coeffs(tapes, f))
+                            noise.coarsen_coeffs(tapes, f))[..., :bs]
         finer = [g for g, e in loads if e == f]
         if finer:
             restricted = fem1d.restrict(mesh, fem1d.build_mesh(cfg.L, 2**finer[-1] - 1),
@@ -464,18 +526,19 @@ class TestPrefetchedChunks:
     @pytest.mark.parametrize("samples", [8, 16])
     def test_narrow_block_matches_whole_tape_runs(self, monkeypatch, threads, samples):
         # the strong ladder at n = K = 63 in a block of 8 or 16 samples, the
-        # tail widths of weak_trace_class_ci and weak_white_noise: there the
-        # stream-major rows as BLAS reads them give other products than
-        # the whole time-major tapes, so the products read a time-major copy
+        # tail widths of weak_trace_class_ci and weak_white_noise, in chunks
+        # of 16 and 8 rows: the tail block's products are BLOCK wide, as a
+        # full block's are
         cfg = dataclasses.replace(
             strong_cfg(samples=samples),
             grid=(Resolution(4, 6), Resolution(5, 6), Resolution(6, 6)),
             reference=Resolution(9, 6))
-        assert_matches_whole_tape_runs(cfg, strong_legs(cfg), monkeypatch, threads, 2**16)
+        budget = {8: 2**18, 16: 3 * 2**16}[samples]
+        assert_matches_whole_tape_runs(cfg, strong_legs(cfg), monkeypatch, threads, budget)
 
     def test_product_mesh_below_k_matches_whole_tape_runs(self, monkeypatch, threads):
         # a full block whose products run on meshes of n = 7 and 31 with
-        # K = 63 modes, where the rows as they lie give other products too
+        # K = 63 modes, in chunks of 4 rows
         cfg = dataclasses.replace(
             strong_cfg(samples=64),
             grid=(Resolution(4, 3), Resolution(4, 4), Resolution(4, 5)),
@@ -511,10 +574,12 @@ class TestPrefetchedChunks:
     def test_stride_across_chunks_matches_one_step_runs(self, monkeypatch, threads,
                                                          budget, coarse_rows):
         # a recorded leg whose stride, 3, divides no chunk of 4 rows, and
-        # exceeds chunks of 2: its segments cross chunk ends
+        # exceeds chunks of 2: its segments cross chunk ends. budget counts
+        # the block's 8 streams; the plan counts BLOCK of them
         cfg = dataclasses.replace(equilibrate_cfg(), samples=8)
         legs = [harness.Leg(cfg.grid[0], 0, cfg.initials, equilibrate_record(3))]
-        fills = assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, budget)
+        fills = assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads,
+                                               budget * harness.BLOCK // cfg.samples)
         assert set(fills) == {coarse_rows}
 
     def test_helper_touches_no_stepper(self, monkeypatch, threads):
@@ -533,7 +598,7 @@ class TestPrefetchedChunks:
         cfg = strong_cfg(samples=8)
         legs = strong_legs(cfg) + [harness.Leg(Resolution(6, 3), 0, (None,),
                                                equilibrate_record(3))]
-        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**13)
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**16)
         harness._paths_block(cfg, 0, legs)
         assert threads.all_ended() and len(threads.started) == 1
         assert len(helper) >= 4 and threading.main_thread() not in helper
@@ -543,7 +608,7 @@ class TestPrefetchedChunks:
         # the third fill is the third chunk, drawn on the helper while the
         # legs step the second
         cfg, legs = strong_cfg(samples=1), strong_legs(strong_cfg())
-        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**8)
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 3 * 2**12)
 
         def fail_third(count, out):
             if count == 3:
@@ -565,7 +630,7 @@ class TestPrefetchedChunks:
         # chunk's loads, assembled while the legs step the first, fail once
         # all four products are made
         cfg, legs = strong_cfg(samples=1), strong_legs(strong_cfg())
-        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**8)
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 3 * 2**12)
 
         def fail_second(count, out):
             assert len(out) == 4
@@ -584,7 +649,7 @@ class TestPrefetchedChunks:
 
     def test_blowup_in_middle_chunk_propagates(self, monkeypatch, threads):
         cfg, legs = strong_cfg(samples=1), strong_legs(strong_cfg())
-        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**9)
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**14)
 
         def nan_third(count, out):
             if count == 3:
@@ -612,7 +677,7 @@ class TestPrefetchedChunks:
         cfg = strong_cfg(samples=8)
         legs = [harness.Leg(Resolution(9, 3), 0, (None,)),
                 harness.Leg(Resolution(5, 3), 0, (None,), equilibrate_record(2))]
-        fills = assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, 2**11)
+        fills = assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, 2**14)
         assert set(fills) == {8}
 
     def test_restricted_leg_spans_chunks(self, monkeypatch, threads):
@@ -623,14 +688,15 @@ class TestPrefetchedChunks:
         legs = [harness.Leg(Resolution(9, 3), 0, (None,)),
                 harness.Leg(Resolution(5, 3), 0, (None,)),
                 harness.Leg(Resolution(5, 2), 0, (None,), equilibrate_record(2))]
-        fills = assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, 3 * 2**10)
+        fills = assert_matches_whole_tape_runs(cfg, legs, monkeypatch, threads, 2**14)
         assert set(fills) == {8}
 
     def test_fill_gets_exactly_the_planned_buffers(self, monkeypatch):
-        # _fill_loads fills the tape, the running sums, the time-major copy
-        # of a one-sample block and the two load sets of the shapes
-        # _stream_plan counted, and no others: in chunks of 8 rows, factors
-        # 16 and 32 keep running sums
+        # _fill_loads fills the tape, the running sums and the two load sets
+        # of the shapes _stream_plan counted, and no others, all BLOCK wide
+        # in a one-sample block; it draws the one stream and leaves the
+        # others zero. In chunks of 8 rows, factors 16 and 32 keep running
+        # sums
         plans, filled = [], []
         stream_plan, fill_loads = harness._stream_plan, harness._fill_loads
 
@@ -638,30 +704,31 @@ class TestPrefetchedChunks:
             plans.append(stream_plan(*args))
             return plans[-1]
 
-        def seen(sampler, tape, rows, sums, timemajor, *rest):
-            filled.append((tape, rows, sums, timemajor, rest[-1]))
-            return fill_loads(sampler, tape, rows, sums, timemajor, *rest)
+        def seen(sampler, tape, rows, bs, sums, *rest):
+            filled.append((tape, rows, bs, sums, rest[-1]))
+            return fill_loads(sampler, tape, rows, bs, sums, *rest)
 
         monkeypatch.setattr(harness, "_stream_plan", planned)
         monkeypatch.setattr(harness, "_fill_loads", seen)
         cfg = strong_cfg(samples=1)
-        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**9)
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**14)
         harness._paths_block(cfg, 0, strong_legs(cfg))
-        (rows, tape, sums, timemajor, sets), = plans
+        (rows, tape, sums, sets), = plans
         assert rows == 8 and set(sums) == {16, 32} and len(filled) == 2**9 // rows
-        assert tape == (1, 1 + rows, 7) and timemajor == (rows, 7, 1)
-        tapes, chunk_rows, running, copies, outs = zip(*filled)
-        # one tape buffer, one sum per factor and one copy buffer
-        # throughout, two load sets in turn
+        assert tape == (harness.BLOCK, 1 + rows, 7)
+        tapes, chunk_rows, widths, running, outs = zip(*filled)
+        # one tape buffer and one sum per factor throughout, two load sets
+        # in turn
         assert all(t is tapes[0] for t in tapes) and tapes[0].shape == tape
-        assert set(chunk_rows) == {rows}
+        assert set(chunk_rows) == {rows} and set(widths) == {1}
+        assert np.any(tapes[0][0] != 0) and not np.any(tapes[0][1:])
         assert all(r is running[0] for r in running)
         assert {f: a.shape for f, a in running[0].items()} == sums
-        assert all(c is copies[0] for c in copies) and copies[0].shape == timemajor
         assert outs[0] is not outs[1]
         for k, out in enumerate(outs):
             assert out is outs[k % 2]
             assert {key: a.shape for key, a in out.items()} == sets[k % 2]
+            assert all(a.shape[-1] == harness.BLOCK for a in out.values())
 
     def test_zero_noise_starts_no_thread(self, threads):
         cfg = dataclasses.replace(strong_cfg(samples=8), s=None)
@@ -708,24 +775,13 @@ class TestRunningSums:
             want = np.matmul(loadmat, np.ascontiguousarray(coarse))
             assert np.array_equal(np.matmul(loadmat, coarse), want)
 
-    @pytest.mark.parametrize("n", [7, 31, 127, 511])
-    def test_full_block_product_reads_fewer_modes_as_they_lie(self, n):
-        # the rule _stream_plan copies by: at a full block with K <= n the
-        # transposed chunk view's product is that of a time-major copy
-        rows = 4
-        for K in (2, (n + 1) // 2):
-            loadmat = fem1d.sine_load_matrix(fem1d.build_mesh(1.0, n), K)
-            tape = np.random.default_rng([n, K]).standard_normal((harness.BLOCK, rows, K))
-            chunk = tape.transpose(1, 2, 0)
-            want = np.matmul(loadmat, np.ascontiguousarray(chunk))
-            assert np.array_equal(np.matmul(loadmat, chunk), want)
-
-    @pytest.mark.parametrize("n,bs", [(31, 3), (63, 8), (511, 3)])
+    @pytest.mark.parametrize("n,bs", [(31, 3), (63, 8), (511, 3), (63, 64), (511, 64)])
     def test_load_product_ignores_the_chunk_rows(self, n, bs):
-        # at some tail widths BLAS sums a transposed operand in another order
+        # at some widths BLAS sums a transposed operand in another order
         # than a time-major copy, but never by where the rows lie: a row's
         # product is the same from a running sum's (bs, K) view and from
-        # chunks of 1, 2 or 8 rows, with or without the spare row
+        # chunks of 1, 2 or 8 rows, with or without the spare row, at tail
+        # widths and at BLOCK, the width of every block's products
         loadmat = fem1d.sine_load_matrix(fem1d.build_mesh(1.0, n), n)
         row = np.random.default_rng([n, bs]).standard_normal((bs, n))
         want = np.matmul(loadmat, row.T[None])        # as a running sum
@@ -756,7 +812,7 @@ class TestRunningSums:
             return step_loads(stepper, loads, work)
 
         monkeypatch.setattr(scheme.Stepper, "step_loads", watched)
-        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**14)
+        monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**17)
         together = harness._paths_block(cfg, 0, legs)
         assert len(buffers) > 3 * 4 and len(set(buffers)) == 1
         pin = harness.Leg(Resolution(6, 1), 0, (None,))
@@ -784,8 +840,8 @@ def test_odd_drift_negated_noise_negates_block(monkeypatch, n, coeffs):
             for r in (*cfg.grid, cfg.reference, Resolution(8, 3), Resolution(3, 3))]
     negated = [leg._replace(starts=(tuple((j, -a) for j, a in start),)) for leg in legs]
     distinct = dict.fromkeys([(h, f) for f in (32, 16, 8, 1)] + [(3, 1), (3, 32)])
-    monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 26 * n * 8 + 2 * 5 * 7 * 8)
-    assert harness._stream_plan(2**8, n, 8, list(distinct))[0] == 4
+    monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 22 * n * 64 + 2 * 5 * 7 * 64)
+    assert harness._stream_plan(2**8, n, list(distinct))[0] == 4
     plain = harness._paths_block(cfg, 0, legs)
     fill = noise.BlockSampler.fill
     monkeypatch.setattr(noise.BlockSampler, "fill",
@@ -812,7 +868,7 @@ class TestWeakStudy:
             crn_tapes=crn)
         monkeypatch.setattr(noise, "MAX_TAPE_FLOATS", 2**15)
         distinct = [(4, 32), (4, 16), (4, 8), (4, 1)]
-        assert harness._stream_plan(2**7, 15, 64, distinct)[0] == 8
+        assert harness._stream_plan(2**7, 15, distinct)[0] == 8
         joined = []
         run_legs = harness._run_legs
 

@@ -212,26 +212,21 @@ class TestChunkedTapes:
                               want[0])
 
     def test_chunk_rows_policy(self, monkeypatch):
-        # 2**20 floats of a 63-mode, 64-sample block: 256 rows of 4032 floats
-        assert harness._stream_plan(4096, 63, 64, [])[0] == 256
+        # 2**20 floats of a 63-mode, 64-stream block: 256 rows of 4032 floats
+        assert harness._stream_plan(4096, 63, [])[0] == 256
         # a factor above the chunk costs one load a set, one running sum and
         # the tape's spare row, 260 x 4032 floats at 256 rows; it never
         # forces a larger chunk
-        plan = harness._stream_plan(4096, 63, 64, [(6, 1024)])
+        plan = harness._stream_plan(4096, 63, [(6, 1024)])
         assert (plan[0], plan_floats(plan)) == (256, 260 * 63 * 64)
-        # a block narrower than 64, or K above a product mesh's n, also
-        # holds a time-major copy of its first factor's loads; a restricted
-        # mesh's n does not count
-        assert harness._stream_plan(4096, 63, 64, [(6, 1), (3, 1)])[3] is None
-        for K, bs, distinct in ((63, 63, [(6, 1), (3, 1)]), (64, 64, [(6, 1)]),
-                                (63, 64, [(6, 1), (3, 2)])):
-            plan = harness._stream_plan(4096, K, bs, distinct)
-            assert plan[3] == (plan[0], K, bs)
-            assert plan_floats(plan) <= noise.MAX_TAPE_FLOATS
-        # never more rows than the tape has (rows of 10 floats, loads of 10)
-        assert harness._stream_plan(64, 1, 10, [(1, 1)])[0] == 64
+        # every buffer is BLOCK streams wide, whatever the block's samples
+        _, tape, sums, sets = plan
+        assert {tape[0], *(s[0] for s in sums.values())} == {harness.BLOCK}
+        assert {shape[-1] for st in sets for shape in st.values()} == {harness.BLOCK}
+        # never more rows than the tape has (rows of 64 floats, loads of 64)
+        assert harness._stream_plan(64, 1, [(1, 1)])[0] == 64
         # a row larger than the budget (2**21 floats) still gets a chunk of one row
-        assert harness._stream_plan(8, 2**15, 64, [])[0] == 1
+        assert harness._stream_plan(8, 2**15, [])[0] == 1
         # _paths_block's budget holds the tape buffer (with its spare row),
         # both load sets and the running sums
         assert block_chunk_rows(monkeypatch, [(8, h) for h in range(5, 10)]) == 4
@@ -248,10 +243,9 @@ class _Sized(Exception):
 
 def plan_floats(plan):
     """The floats of a harness._stream_plan's buffers: the tape, the running
-    sums, the time-major copy if any and both load sets."""
-    _, tape, sums, timemajor, sets = plan
-    shapes = [tape, *sums.values()] + ([timemajor] if timemajor else [])
-    shapes += [shape for st in sets for shape in st.values()]
+    sums and both load sets."""
+    _, tape, sums, sets = plan
+    shapes = [tape, *sums.values()] + [shape for st in sets for shape in st.values()]
     return sum(math.prod(shape) for shape in shapes)
 
 
